@@ -35,11 +35,12 @@ go build -o "$tmpdir/spe-sim" ./cmd/spe-sim
 # x workers {1,4,8} x 2 GOMAXPROCS levels = 12 results). benchjson derives a
 # speedup_vs_w1 ratio for every workers>1 result against its workers=1
 # sibling at the same -cpu level; on a multi-core runner the workers=4
-# ratios must clear 2.5x. On a single-vCPU host (this repo's usual CI box)
-# -cpu 4 merely timeslices four goroutines on one core, the pool clamp pins
-# real runs to one worker, and the batch path takes its inline fast path by
-# design — so the ratio assertion is skipped there rather than asserted
-# vacuously. The matrix itself still runs, catching functional regressions.
+# ratios must clear 2.5x * min(nproc, 4)/4 — the same per-core efficiency
+# (~0.63) on any host, so 2.5x on 4+ cores and 1.25x on 2. On a
+# single-vCPU host -cpu 4 merely timeslices four goroutines on one core,
+# the pool clamp pins real runs to one worker, and the batch path takes its
+# inline fast path by design — so the ratio assertion is skipped there
+# rather than asserted vacuously. The matrix itself still runs, catching functional regressions.
 go test ./internal/core -run xxx -bench 'BenchmarkSPECU(ShardedRead|EncryptBatch)' \
 	-benchtime 20x -benchmem -cpu 1,4 \
 	| go run ./cmd/benchjson -require 12 -o "$tmpdir/batch_matrix.json"
@@ -47,12 +48,13 @@ if [ "$(nproc)" -gt 1 ]; then
 	python3 -c '
 import json, sys
 rep = json.load(open(sys.argv[1]))
+need = 2.5 * min(int(sys.argv[2]), 4) / 4
 ratios = {r["name"]: r["extra"]["speedup_vs_w1"]
           for r in rep["results"] if "speedup_vs_w1" in r.get("extra", {})}
 for name in ("BenchmarkSPECUShardedRead/workers=4-4",
              "BenchmarkSPECUEncryptBatch/workers=4-4"):
-    assert ratios.get(name, 0.0) >= 2.5, (name, ratios)
-' "$tmpdir/batch_matrix.json"
+    assert ratios.get(name, 0.0) >= need, (name, need, ratios)
+' "$tmpdir/batch_matrix.json" "$(nproc)"
 else
 	echo "ci: 1 vCPU; skipping batch speedup assertion (pool clamps to one worker)"
 fi

@@ -807,10 +807,11 @@ type sizewallReport struct {
 
 // sizewall demonstrates that characterization and placement now scale past
 // the paper's 8x8: it derives the scaled Table 1 problem at -rows x -cols,
-// then cold-characterizes the full device through whichever path CharAuto
-// selects — the locality-truncated sketch above 64 cells, hierarchical
-// above ~1024 unknowns — and reports the truncation telemetry plus the
-// heap high-water mark, including a radius-capped re-run to show the knob.
+// then cold-characterizes the full device through the locality-truncated
+// sketch — dense Green tables up to ~1024 unknowns, the hierarchical
+// backend above — and reports the resolved backend, the truncation
+// telemetry and the heap high-water mark, including a radius-capped re-run
+// to show the knob.
 // With -json the same numbers come out as one machine-comparable object.
 func sizewall() error {
 	cfg := xbar.DefaultConfig()
@@ -818,16 +819,12 @@ func sizewall() error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	rep := sizewallReport{Rows: cfg.Rows, Cols: cfg.Cols, Cells: cfg.Cells(), Path: "dense"}
-	mode := "dense (legacy per-PoE factorization)"
-	if cfg.Cells() > 64 {
-		rep.Path = "sketch"
-		mode = "sketch (one shared factorization + Green tables per device)"
-	}
+	rep := sizewallReport{Rows: cfg.Rows, Cols: cfg.Cols, Cells: cfg.Cells(), Path: "sketch"}
 	human := !*jsonFlag
 	if human {
-		fmt.Printf("%dx%d crossbar (%d cells, %d PoEs to characterize); path: %s\n",
-			cfg.Rows, cfg.Cols, cfg.Cells(), cfg.Cells(), mode)
+		fmt.Printf("%dx%d crossbar (%d cells, %d PoEs to characterize); path: sketch\n"+
+			"(one shared factorization + Green tables per device)\n",
+			cfg.Rows, cfg.Cols, cfg.Cells(), cfg.Cells())
 	}
 
 	spec, err := poe.ScaledSpec(cfg.Rows, cfg.Cols)
@@ -863,8 +860,6 @@ func sizewall() error {
 		}
 		visited0 := reg.Counter("xbar.cal.cells_visited").Load()
 		skipped0 := reg.Counter("xbar.cal.cells_skipped").Load()
-		dense0 := reg.Counter("circuit.sketch.backend_dense").Load()
-		cg0 := reg.Counter("circuit.sketch.backend_cg").Load()
 		hier0 := reg.Counter("circuit.sketch.backend_hier").Load()
 		runtime.GC()
 		hw := watchHeap()
@@ -881,18 +876,13 @@ func sizewall() error {
 			CellsVisited:     reg.Counter("xbar.cal.cells_visited").Load() - visited0,
 			CellsSkipped:     reg.Counter("xbar.cal.cells_skipped").Load() - skipped0,
 			PeakHeapBytes:    hw.Peak(),
-			Backend:          "dense-per-poe",
+			Backend:          "dense",
 		}
-		switch {
-		case reg.Counter("circuit.sketch.backend_hier").Load() > hier0:
+		if reg.Counter("circuit.sketch.backend_hier").Load() > hier0 {
 			run.Backend = "hier"
 			run.NDDepth = reg.Gauge("circuit.sketch.nd_depth").Load()
 			run.TableEntries = reg.Gauge("circuit.sketch.table_entries").Load()
 			run.TableDense = reg.Gauge("circuit.sketch.table_entries_dense").Load()
-		case reg.Counter("circuit.sketch.backend_cg").Load() > cg0:
-			run.Backend = "cg"
-		case reg.Counter("circuit.sketch.backend_dense").Load() > dense0:
-			run.Backend = "dense"
 		}
 		rep.Runs = append(rep.Runs, run)
 		if human {
@@ -914,14 +904,12 @@ func sizewall() error {
 	}
 	capped := cfg
 	capped.TruncationRadius = 5
-	if capped.Cells() > 64 {
-		if err := warm(capped, "radius-capped (R=5)"); err != nil {
-			return err
-		}
-		if human {
-			fmt.Println("(radius cap trades unmeasured far-field weights for sweep time; the")
-			fmt.Println("default tolerance keeps fixed-point deviations bit-identical instead)")
-		}
+	if err := warm(capped, "radius-capped (R=5)"); err != nil {
+		return err
+	}
+	if human {
+		fmt.Println("(radius cap trades unmeasured far-field weights for sweep time; the")
+		fmt.Println("default tolerance keeps fixed-point deviations bit-identical instead)")
 	}
 	if *jsonFlag {
 		enc := json.NewEncoder(os.Stdout)

@@ -36,10 +36,9 @@ import (
 // PoEs is table lookups: per-PoE cost scales with the swept neighbourhood,
 // not with device size.
 //
-// Backends: dense Cholesky (LU fallback) up to SketchOptions.DenseLimit
-// unknowns, above that the CSR + Jacobi-CG machinery with each probe solve
-// warm-started from its neighbour (probe RHS of adjacent cells are close,
-// so are their Green columns).
+// Backends: dense Cholesky (LU fallback) with full tables, or the
+// hierarchical sparse factorization with truncation-sparse tables
+// (sketch_hier.go) when the caller supplies an elimination order.
 //
 // A ProbeSketch is immutable once built and safe for concurrent readers.
 type ProbeSketch struct {
@@ -51,7 +50,7 @@ type ProbeSketch struct {
 
 	backend SketchBackend // resolved backend (never SketchAuto)
 
-	// Dense tables (SketchDense / SketchCG backends).
+	// Dense tables (SketchDense backend).
 	w    []float64 // np x np, W[i*np+j]
 	cmat []float64 // ns x np, C[s*np+j]
 	tmat []float64 // ns x ns, T[s*ns+t] (all backends)
@@ -75,15 +74,12 @@ type SketchBackend int
 const (
 	// SketchAuto picks by unknown count: hierarchical above HierLimit when
 	// an ordering and a sparsity pattern are supplied, else dense up to
-	// DenseLimit, else CG.
+	// denseSketchLimit unknowns. A larger network with no ordering is an
+	// error.
 	SketchAuto SketchBackend = iota
 	// SketchDense factors densely (Cholesky, LU fallback) and stores full
 	// W/C/T tables.
 	SketchDense
-	// SketchCG answers each probe with a warm-started Jacobi-CG solve and
-	// stores full tables — the legacy large-device fallback; explicit
-	// selection only under Auto unless no ordering is available.
-	SketchCG
 	// SketchHier runs the nested-dissection supernodal sparse Cholesky
 	// (linalg.FactorSparse) under the caller-supplied elimination order and
 	// materializes only the table entries named by SketchOptions.Sparsity.
@@ -96,8 +92,6 @@ func (b SketchBackend) String() string {
 	switch b {
 	case SketchDense:
 		return "dense"
-	case SketchCG:
-		return "cg"
 	case SketchHier:
 		return "hierarchical"
 	default:
@@ -121,10 +115,6 @@ type SketchOptions struct {
 	// Backend forces a backend; SketchAuto (the zero value) selects by
 	// unknown count as documented on the constants.
 	Backend SketchBackend
-	// DenseLimit is the unknown count above which the sketch switches from
-	// the dense Cholesky backend to sparse CG. 0 means 6000 (a 32x32
-	// crossbar has ~2100 unknowns and stays dense; 64x64 crosses over).
-	DenseLimit int
 	// HierLimit is the unknown count above which SketchAuto prefers the
 	// hierarchical backend when Order and Sparsity are supplied. 0 means
 	// 1024 — a 16x16 crossbar (544 unknowns) stays on the bit-stable dense
@@ -132,9 +122,6 @@ type SketchOptions struct {
 	HierLimit int
 	// BatchRHS is the multi-RHS panel width of the dense backend. 0 means 64.
 	BatchRHS int
-	// CGTol is the relative residual tolerance of the CG backend. 0 means
-	// 1e-12.
-	CGTol float64
 	// Order is the elimination order for the hierarchical backend:
 	// Order[k] is the unknown (node-1) eliminated at position k. Any
 	// permutation is numerically correct; a nested-dissection order keeps
@@ -146,9 +133,11 @@ type SketchOptions struct {
 }
 
 const (
-	defaultSketchDenseLimit = 6000
-	defaultSketchHierLimit  = 1024
-	defaultSketchBatch      = 64
+	// denseSketchLimit caps SketchAuto's dense backend: its factor is
+	// O(n^2) memory, ~290 MB at this many unknowns.
+	denseSketchLimit       = 6000
+	defaultSketchHierLimit = 1024
+	defaultSketchBatch     = 64
 )
 
 // FactorSketch factors the network once and precomputes the Green tables
@@ -188,14 +177,6 @@ func (nw *Network) FactorSketch(pairs []ProbePair, singles []int, opt SketchOpti
 		}
 		sk.si[s] = nd - 1
 	}
-	if t := ctel.Load(); t != nil {
-		t.sketchFactors.Inc()
-		t.sketchProbes.Add(int64(ns + np))
-	}
-	limit := opt.DenseLimit
-	if limit <= 0 {
-		limit = defaultSketchDenseLimit
-	}
 	hierLimit := opt.HierLimit
 	if hierLimit <= 0 {
 		hierLimit = defaultSketchHierLimit
@@ -205,13 +186,17 @@ func (nw *Network) FactorSketch(pairs []ProbePair, singles []int, opt SketchOpti
 		switch {
 		case n > hierLimit && opt.Order != nil && opt.Sparsity != nil:
 			backend = SketchHier
-		case n <= limit:
+		case n <= denseSketchLimit:
 			backend = SketchDense
 		default:
-			backend = SketchCG
+			return nil, fmt.Errorf("circuit: FactorSketch of %d unknowns needs an elimination order and sparsity (dense backend limit %d)", n, denseSketchLimit)
 		}
 	}
 	sk.backend = backend
+	if t := ctel.Load(); t != nil {
+		t.sketchFactors.Inc()
+		t.sketchProbes.Add(int64(ns + np))
+	}
 	// idx: node -> unknown. Only ground is eliminated, so the map is i-1.
 	idx := make([]int, nw.nodes)
 	idx[Ground] = -1
@@ -224,11 +209,7 @@ func (nw *Network) FactorSketch(pairs []ProbePair, singles []int, opt SketchOpti
 	case SketchDense:
 		sk.w = make([]float64, np*np)
 		sk.cmat = make([]float64, ns*np)
-		err = sk.buildDense(nw, idx, vfixed, opt)
-	case SketchCG:
-		sk.w = make([]float64, np*np)
-		sk.cmat = make([]float64, ns*np)
-		err = sk.buildCG(nw, idx, vfixed, opt)
+		err = sk.solveDense(nw, idx, vfixed, opt)
 	case SketchHier:
 		err = sk.buildHier(nw, idx, vfixed, opt)
 	default:
@@ -241,8 +222,6 @@ func (nw *Network) FactorSketch(pairs []ProbePair, singles []int, opt SketchOpti
 		switch backend {
 		case SketchDense:
 			t.sketchDense.Inc()
-		case SketchCG:
-			t.sketchCG.Inc()
 		case SketchHier:
 			t.sketchHier.Inc()
 		}
@@ -258,12 +237,12 @@ func (nw *Network) FactorSketch(pairs []ProbePair, singles []int, opt SketchOpti
 func (sk *ProbeSketch) Backend() SketchBackend { return sk.backend }
 
 // NDDepth returns the nested-dissection depth of the hierarchical factor
-// (0 for the dense and CG backends).
+// (0 for the dense backend).
 func (sk *ProbeSketch) NDDepth() int { return sk.ndDepth }
 
 // TableEntries returns the number of Green-table entries materialized
 // (W + C + T). For the hierarchical backend this is the block-sparse fill;
-// for the others the full dense count.
+// for the dense backend the full count.
 func (sk *ProbeSketch) TableEntries() int64 {
 	if sk.backend == SketchHier {
 		return int64(len(sk.wval)) + int64(len(sk.cval)) + int64(len(sk.tmat))
@@ -282,12 +261,12 @@ func (sk *ProbeSketch) TableBytes() int64 {
 	return int64(len(sk.w)+len(sk.cmat)+len(sk.tmat)) * 8
 }
 
-// buildDense assembles the dense conductance system, factors it (Cholesky,
+// solveDense assembles the dense conductance system, factors it (Cholesky,
 // LU fallback) and streams the probe panel through it in fixed-width
 // chunks. Panel columns solve with per-column-independent recurrences, so
 // every table entry is a pure function of the network — independent of
 // chunking and of which other probes are requested.
-func (sk *ProbeSketch) buildDense(nw *Network, idx []int, vfixed []float64, opt SketchOptions) error {
+func (sk *ProbeSketch) solveDense(nw *Network, idx []int, vfixed []float64, opt SketchOptions) error {
 	n := sk.n
 	g := linalg.NewDense(n, n)
 	for i := 0; i < n; i++ {
@@ -343,49 +322,6 @@ func (sk *ProbeSketch) buildDense(nw *Network, idx []int, vfixed []float64, opt 
 		for c := 0; c < k; c++ {
 			sk.extractColumn(lo+c, sub, k, c)
 		}
-	}
-	return nil
-}
-
-// buildCG assembles the sparse CSR system and answers each probe with a
-// warm-started Jacobi-CG solve — the large-device backend, trading the
-// dense factor's O(n^3) time and O(n^2) memory for O(nnz) per iteration.
-func (sk *ProbeSketch) buildCG(nw *Network, idx []int, vfixed []float64, opt SketchOptions) error {
-	n := sk.n
-	bdump := make([]float64, n)
-	coords := make([]linalg.Coord, 0, len(nw.edges)*4+n)
-	for i := 0; i < n; i++ {
-		coords = append(coords, linalg.Coord{Row: i, Col: i, Val: Gmin})
-	}
-	for _, r := range nw.edges {
-		coords = stampSparse(coords, bdump, idx, vfixed, r)
-	}
-	m := linalg.NewCSR(n, coords)
-	tol := opt.CGTol
-	if tol <= 0 {
-		tol = 1e-12
-	}
-	rhs := make([]float64, n)
-	var prev []float64
-	for q := 0; q < sk.ns+sk.np; q++ {
-		for i := range rhs {
-			rhs[i] = 0
-		}
-		if q < sk.ns {
-			rhs[sk.si[q]] = 1
-		} else {
-			rhs[sk.pa[q-sk.ns]] = 1
-			rhs[sk.pb[q-sk.ns]] = -1
-		}
-		x, res, err := linalg.SolveCG(m, rhs, linalg.CGOptions{MaxIter: 50 * n, Tol: tol, X0: prev})
-		if err != nil {
-			return fmt.Errorf("circuit: sketch CG probe %d: %w", q, err)
-		}
-		if !res.Converged {
-			return fmt.Errorf("circuit: sketch CG probe %d did not converge (residual %g after %d iters)", q, res.Residual, res.Iterations)
-		}
-		prev = x
-		sk.extractColumn(q, x, 1, 0)
 	}
 	return nil
 }
@@ -446,7 +382,7 @@ func (sk *ProbeSketch) Pin(fixed []int, volts []float64) (*PinnedSketch, error) 
 // of pair ids the caller will actually sweep. The per-pin arrays are sized
 // by the window instead of by the device, which is what keeps per-PoE cost
 // neighbourhood-bound on large devices. A nil window means all pairs (dense
-// and CG backends only).
+// backend only).
 func (sk *ProbeSketch) PinWindow(fixed []int, volts []float64, window []int32) (*PinnedSketch, error) {
 	k := len(fixed)
 	if k == 0 || k != len(volts) {

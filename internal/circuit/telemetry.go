@@ -26,7 +26,6 @@ type circuitTel struct {
 	// actually materialized versus the dense np^2+ns*np+ns^2 equivalent
 	// (the block-sparse fill of the truncation-radius tables).
 	sketchDense      *telemetry.Counter
-	sketchCG         *telemetry.Counter
 	sketchHier       *telemetry.Counter
 	sketchDepth      *telemetry.Gauge
 	sketchTableFill  *telemetry.Gauge
@@ -51,7 +50,6 @@ func SetTelemetry(reg *telemetry.Registry) {
 		sketchProbes:   reg.Counter("circuit.sketch.probe_solves"),
 
 		sketchDense:      reg.Counter("circuit.sketch.backend_dense"),
-		sketchCG:         reg.Counter("circuit.sketch.backend_cg"),
 		sketchHier:       reg.Counter("circuit.sketch.backend_hier"),
 		sketchDepth:      reg.Gauge("circuit.sketch.nd_depth"),
 		sketchTableFill:  reg.Gauge("circuit.sketch.table_entries"),

@@ -65,15 +65,24 @@ var (
 	// (the ILP does not touch the dense kernels); migration is the same
 	// decrypt-under-old-model, re-encrypt-on-scrub path as the first
 	// regeneration.
+	//
+	// Regenerated a fourth time when the 8x8 device moved from the per-PoE
+	// dense factorization to the shared probe sketch, the one
+	// characterization route at every device size. The two routes agree on
+	// the sensitivity weights to ~1e-6 relative but not bit for bit, and the
+	// comparator-sensitive mixer exposes the difference. The placement and
+	// schedule vectors above are byte-identical; migration is the same
+	// decrypt-under-old-model, re-encrypt-on-scrub path as the first
+	// regeneration.
 	goldenCiphertext = []byte{
-		0xae, 0x8a, 0x06, 0x32, 0xe4, 0x0d, 0x1b, 0xc1,
-		0xdf, 0x3b, 0x37, 0x75, 0x1e, 0xb0, 0xc7, 0xe6,
-		0xf4, 0xdd, 0xec, 0xf6, 0x44, 0x73, 0x88, 0x4a,
-		0x99, 0x2c, 0xda, 0x0b, 0x62, 0x63, 0x9f, 0x0c,
-		0xd6, 0xb3, 0x93, 0x3d, 0x7c, 0x3e, 0x2d, 0x11,
-		0x8c, 0x06, 0xcb, 0xd4, 0x42, 0x80, 0x11, 0xb8,
-		0x6e, 0xa2, 0xa4, 0xad, 0xaf, 0xe3, 0xab, 0x4f,
-		0xc8, 0x3d, 0xac, 0xfa, 0x7b, 0x23, 0xcc, 0x05,
+		0x16, 0x71, 0xc7, 0x36, 0x4a, 0x6d, 0x22, 0x80,
+		0x44, 0x77, 0x16, 0x69, 0x6d, 0x79, 0xcb, 0x03,
+		0x7e, 0x62, 0xae, 0xb1, 0x35, 0xd4, 0x51, 0xd4,
+		0x66, 0x6e, 0xd6, 0xde, 0xbe, 0xe9, 0x1e, 0xf5,
+		0xba, 0x9f, 0x1d, 0x74, 0x54, 0x11, 0xbc, 0x40,
+		0x3b, 0xfc, 0x5d, 0xe5, 0x3c, 0xbd, 0x71, 0xa5,
+		0xc3, 0xf8, 0xbe, 0xe2, 0xf5, 0x6a, 0x33, 0x57,
+		0xf5, 0x18, 0x1a, 0x43, 0xec, 0x1d, 0x87, 0xd4,
 	}
 )
 

@@ -104,8 +104,14 @@ func PValueUniformity(ps []float64) float64 {
 // k whose exceedance probability under Bin(total, Alpha) drops below 0.5%.
 // For the paper's 150 sequences this gives the quoted bound of 5.
 func MaxAllowedFailures(total int) int {
+	return maxAllowedFailuresAt(total, 0.005)
+}
+
+// maxAllowedFailuresAt is MaxAllowedFailures at an arbitrary exceedance
+// level: the smallest k with P[Bin(total, Alpha) > k] < level.
+func maxAllowedFailuresAt(total int, level float64) int {
 	for k := 0; k <= total; k++ {
-		if numeric.BinomialTail(total, Alpha, k+1) < 0.005 {
+		if numeric.BinomialTail(total, Alpha, k+1) < level {
 			return k
 		}
 	}

@@ -251,6 +251,10 @@ func TestMaxAllowedFailures(t *testing.T) {
 	if got := MaxAllowedFailures(10); got < 1 {
 		t.Errorf("MaxAllowedFailures(10) = %d, want >= 1", got)
 	}
+	// The small-batch test's family-wise bound: 4 sequences over 60 cells.
+	if got, fw := MaxAllowedFailures(4), maxAllowedFailuresAt(4, 0.005/60); got != 1 || fw != 2 {
+		t.Errorf("4 sequences: per-cell bound %d (want 1), family-wise %d (want 2)", got, fw)
+	}
 }
 
 func TestResultPassEdge(t *testing.T) {

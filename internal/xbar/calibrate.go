@@ -3,21 +3,17 @@ package xbar
 import (
 	"fmt"
 	"math"
-	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
-
-	"snvmm/internal/circuit"
-	"snvmm/internal/device"
 )
 
 // Calibration holds the per-PoE data the SPECU characterizes once per
 // fabrication identity: the polyomino shape, the baseline sneak voltage of
-// each shape cell at the mid state, the linearized sensitivity of that
-// voltage to the state of every cell outside the polyomino, and the band
-// edges that quantize the resulting voltage deviation into the three
-// strength classes.
+// each shape cell at the mid state, and the linearized sensitivity of that
+// voltage to the state of every cell outside the polyomino. Every PoE is
+// characterized from one shared factorization of the device's sneak
+// network (see calibrate_sparse.go); the pulse path reads the resulting
+// voltage through Mixers.
 //
 // During a pulse the voltage across a polyomino cell is modelled as
 //
@@ -48,7 +44,12 @@ type Calibration struct {
 
 	poes []poeCal // per PoE (linear cell index)
 
-	sk calSketch // shared device sketch (sketch path only), built lazily
+	sk calSketch // shared device sketch, built lazily
+
+	// forceHier selects the hierarchical sketch backend at any device
+	// size. Only in-package tests set it, to cross-validate that backend
+	// on devices small enough for the dense tables.
+	forceHier bool
 }
 
 // poeCal is the lazily built calibration record of one PoE.
@@ -74,8 +75,6 @@ type poeCal struct {
 	compIdx []int32
 	compPos []int32
 	wflat   [][]int64
-
-	edges [][2]float64
 }
 
 // devWeightBits is the fixed-point precision of the quantized sensitivity
@@ -107,10 +106,6 @@ func Calibrate(x *Crossbar) *Calibration {
 // sensitivity extraction.
 const sensDelta = 0.25
 
-// calSamples is the number of random data samples used to place the strength
-// band edges.
-const calSamples = 512
-
 // ensure computes the calibration record for one PoE, exactly once even
 // under concurrent first touch.
 func (c *Calibration) ensure(poe Cell) error {
@@ -128,164 +123,16 @@ func (c *Calibration) ensure(poe Cell) error {
 			t.builds.Inc()
 		}
 	}
-	pc.once.Do(func() { pc.err = c.build(poe, pc) })
+	pc.once.Do(func() { pc.err = c.buildSketch(poe, pc) })
 	pc.done.Store(true)
 	return pc.err
-}
-
-// build does the actual per-PoE characterization work, dispatching between
-// the legacy dense path (one factorization per PoE; bit-for-bit stable, it
-// backs the 8x8 golden vectors) and the shared-sketch path that makes
-// 32x32+ devices tractable (see calibrate_sparse.go).
-func (c *Calibration) build(poe Cell, pc *poeCal) error {
-	if c.useSketch() {
-		return c.buildSketch(poe, pc)
-	}
-	return c.buildDense(poe, pc)
-}
-
-// sparseCutoff is the cell count above which CharAuto selects the sketch
-// path: 64 keeps the paper's 8x8 device — and its golden vectors — on the
-// legacy dense path.
-const sparseCutoff = 64
-
-func (c *Calibration) useSketch() bool {
-	switch c.cfg.Characterization {
-	case CharDense:
-		return false
-	case CharSparse, CharHier:
-		return true
-	default:
-		return c.cfg.Cells() > sparseCutoff
-	}
-}
-
-// buildDense is the legacy characterization: factor the driven network of
-// this PoE and answer every complement-cell perturbation with the batched
-// probe-form Sherman–Morrison pass.
-func (c *Calibration) buildDense(poe Cell, pc *poeCal) error {
-	pi := c.cfg.Index(poe)
-	cells := c.cfg.Cells()
-	shape, err := c.xb.Shape(poe)
-	if err != nil {
-		return err
-	}
-	if len(shape) == 0 {
-		return fmt.Errorf("xbar: PoE %+v has empty polyomino", poe)
-	}
-	inShape := make([]bool, cells)
-	for _, cell := range shape {
-		inShape[c.cfg.Index(cell)] = true
-	}
-	// Baseline solve: everything at mid state. The system is factored once
-	// and all complement-cell perturbations are answered by one batched
-	// Sherman-Morrison pass, which makes full-device calibration cheap
-	// enough to run per fabrication identity.
-	midR := c.xb.midR()
-	nw, cellEdge, err := c.xb.buildNetwork(poe, midR, c.cfg.VDrive)
-	if err != nil {
-		return err
-	}
-	fac, err := nw.FactorSystem()
-	if err != nil {
-		return err
-	}
-	dv := make([]float64, cells)
-	c.xb.cellDropsInto(dv, fac.Base())
-	base := make([]float64, len(shape))
-	for k, cell := range shape {
-		base[k] = abs(dv[c.cfg.Index(cell)])
-	}
-	// Finite-difference sensitivities: perturb each complement cell's state
-	// by +sensDelta and record the voltage change at each shape cell. The
-	// calibration only observes the shape cells' junction drops, so the
-	// whole sweep is phrased in the probe form of the batched update: full
-	// solves for the ~|shape| probe pairs, a forward-only sweep over the
-	// ~cells perturbation batch for the denominators — instead of cells
-	// independent O(n^2) re-solves. The changes are then quantized to the
-	// fixed-point weight grid. maxW keeps every full-array deviation sum
-	// below 2^53, so int64 accumulation is exact and float64 conversion
-	// lossless.
-	comp := make([]int, 0, cells-len(shape))
-	perts := make([]circuit.EdgePerturbation, 0, cells-len(shape))
-	for m := 0; m < cells; m++ {
-		if inShape[m] {
-			continue
-		}
-		pr := c.xb.params[m]
-		rPert := pr.ROn + (pr.ROff-pr.ROn)*(0.5+sensDelta)
-		comp = append(comp, m)
-		perts = append(perts, circuit.EdgePerturbation{Edge: cellEdge + m, NewOhms: rPert + c.cfg.RAccess})
-	}
-	pairs := make([]circuit.ProbePair, len(shape))
-	for k, cell := range shape {
-		pairs[k] = circuit.ProbePair{
-			A: c.xb.rowNode(cell.Row, cell.Col),
-			B: c.xb.colNode(cell.Row, cell.Col),
-		}
-	}
-	diffs := make([]float64, len(perts)*len(pairs))
-	if err := fac.SolveEdgesPerturbedDiffs(perts, pairs, diffs); err != nil {
-		return err
-	}
-	maxW := int64((uint64(1)<<53 - 1) / uint64(3*cells))
-	wdense := make([][]int64, len(shape))
-	for k := range wdense {
-		wdense[k] = make([]int64, cells)
-	}
-	for j, m := range comp {
-		row := diffs[j*len(pairs) : (j+1)*len(pairs)]
-		for k := range shape {
-			w := (abs(row[k]) - base[k]) / sensDelta
-			wq := int64(math.Round(w * (1 << devWeightBits)))
-			if wq > maxW || wq < -maxW {
-				return fmt.Errorf("xbar: PoE %+v sensitivity %g overflows the fixed-point weight grid", poe, w)
-			}
-			wdense[k][m] = wq
-		}
-	}
-	compIdx, compPos, wflat := flattenSensitivities(cells, inShape, wdense)
-	// Place band edges so the three strength classes are balanced over
-	// random data. The sampling is seeded from the reference crossbar's
-	// seed so the calibration is a pure function of the fabrication
-	// identity.
-	edges := make([][2]float64, len(shape))
-	rng := rand.New(rand.NewSource(c.xb.Cfg.Seed*1315423911 + int64(pi)))
-	devs := make([]float64, calSamples)
-	for k := range shape {
-		row := wflat[k]
-		for s := 0; s < calSamples; s++ {
-			var d int64
-			for j := range row {
-				lvl := rng.Intn(device.Levels)
-				d += row[j] * levelQ(lvl)
-			}
-			devs[s] = float64(d) * devInvScale
-		}
-		sort.Float64s(devs)
-		lo := devs[calSamples/3]
-		hi := devs[2*calSamples/3]
-		if hi-lo < 1e-15 { // degenerate: no data sensitivity at this cell
-			lo, hi = -1e300, 1e300
-		}
-		edges[k] = [2]float64{lo, hi}
-	}
-	pc.shape = shape
-	pc.inShape = inShape
-	pc.base = base
-	pc.compIdx = compIdx
-	pc.compPos = compPos
-	pc.wflat = wflat
-	pc.edges = edges
-	return nil
 }
 
 // flattenSensitivities compacts a dense per-shape-cell weight table into
 // the calibration's sparse layout: complement cells that at least one shape
 // cell is sensitive to, in ascending order (compIdx), the inverse map
 // (compPos, -1 where absent), and per-shape-cell weight rows aligned with
-// compIdx. Shared by both build paths so the record layout is identical
-// regardless of how the weights were computed.
+// compIdx.
 func flattenSensitivities(cells int, inShape []bool, wdense [][]int64) (compIdx, compPos []int32, wflat [][]int64) {
 	compPos = make([]int32, cells)
 	for i := range compPos {
@@ -334,48 +181,6 @@ func (pc *poeCal) deviationsInto(dst []int64, levels []int) {
 		}
 		dst[k] = d
 	}
-}
-
-// deviations returns the per-shape-cell sneak-voltage deviations in volts.
-func (c *Calibration) deviations(levels []int, poe Cell) ([]float64, error) {
-	if err := c.ensure(poe); err != nil {
-		return nil, err
-	}
-	pc := &c.poes[c.cfg.Index(poe)]
-	if len(levels) != c.cfg.Cells() {
-		return nil, fmt.Errorf("xbar: deviations needs %d levels, got %d", c.cfg.Cells(), len(levels))
-	}
-	acc := make([]int64, len(pc.shape))
-	pc.deviationsInto(acc, levels)
-	out := make([]float64, len(acc))
-	for k, d := range acc {
-		out[k] = float64(d) * devInvScale
-	}
-	return out, nil
-}
-
-// Strengths returns the voltage class (1..3) of every shape cell for the
-// given crossbar state. The class depends only on cells outside the
-// polyomino.
-func (c *Calibration) Strengths(levels []int, poe Cell) ([]int, error) {
-	devs, err := c.deviations(levels, poe)
-	if err != nil {
-		return nil, err
-	}
-	pc := &c.poes[c.cfg.Index(poe)]
-	out := make([]int, len(devs))
-	for k, d := range devs {
-		e := pc.edges[k]
-		switch {
-		case d < e[0]:
-			out[k] = 1
-		case d < e[1]:
-			out[k] = 2
-		default:
-			out[k] = 3
-		}
-	}
-	return out, nil
 }
 
 // mixersInto derives the per-shape-cell mixing words from an already

@@ -8,28 +8,26 @@ import (
 	"snvmm/internal/circuit"
 )
 
-// The sketch characterization path. The legacy dense path factors one
-// driven network per PoE — O(n^3) in the unknown count, per PoE — which is
-// the size wall that kept 16x16 cold characterization at ~7 s and made
-// 32x32 unreachable. Here the device's sneak network is factored exactly
+// The characterization route. A per-PoE factorization of the driven
+// network would cost O(n^3) in the unknown count for every PoE — the size
+// wall that kept 16x16 cold characterization at ~7 s and made 32x32
+// unreachable. Instead the device's sneak network is factored exactly
 // once in its floating form (every terminal on its keeper), Green-function
 // tables are precomputed against one probe pair per cell plus one single
 // per terminal (circuit.ProbeSketch), and each PoE's pulse drive becomes a
 // rank-2 pinned constraint: every base drop, Sherman–Morrison denominator
 // and perturbed drop the sensitivity sweep needs is then O(1) table
 // arithmetic. Per-PoE cost scales with the swept neighbourhood size — which
-// TruncationTol/TruncationRadius bound — instead of with device size.
+// TruncationTol/TruncationRadius bound — instead of with device size. The
+// sketch backend follows device size: dense tables up to hierUnknownCutoff
+// unknowns, the hierarchical backend (hier.go) above it.
 
 // defaultTruncationTol is the bit-exactness tolerance: half the 2^-40
 // fixed-point weight quantum. A weight below it quantizes to zero, so
 // truncating the cell cannot change any deviation accumulator bit.
 const defaultTruncationTol = 0x1p-41
 
-// tertileZ is the standard normal z with Phi(z) = 2/3 — the analytic
-// tertile edge used by the sketch path's CLT band placement.
-var tertileZ = math.Sqrt2 * math.Erfinv(1.0/3.0)
-
-// calSketch is the lazily built per-device shared state of the sketch path.
+// calSketch is the lazily built per-device shared state of the sketch.
 type calSketch struct {
 	once sync.Once
 	err  error
@@ -72,18 +70,17 @@ func (c *Calibration) buildDeviceSketch() error {
 		singles[cfg.Rows+col] = c.xb.colTerm(col)
 	}
 	// Supply nested-dissection ordering and truncation-sparsity hints when
-	// the hierarchical backend is forced or in reach of the auto selection.
-	// ShapeVoltage shapes have no analytic reach, so they stay on the
-	// dense/CG backends (CharHier+ShapeVoltage is rejected by Validate).
+	// the device is large enough for the hierarchical backend (or a test
+	// forces it). ShapeVoltage shapes have no analytic reach, so they stay
+	// on the dense backend, which FactorSketch caps in size.
 	opt := circuit.SketchOptions{HierLimit: hierUnknownCutoff}
-	hierForced := cfg.Characterization == CharHier
-	if hierForced && cfg.Shape != ShapePaper {
-		return fmt.Errorf("xbar: CharHier needs ShapePaper")
+	if c.forceHier && cfg.Shape != ShapePaper {
+		return fmt.Errorf("xbar: the hierarchical backend needs ShapePaper (the truncation sparsity is derived from the analytic polyomino reach)")
 	}
-	if hierForced || (cfg.Shape == ShapePaper && c.xb.totalNodes()-1 > hierUnknownCutoff) {
+	if c.forceHier || (cfg.Shape == ShapePaper && c.xb.totalNodes()-1 > hierUnknownCutoff) {
 		opt.Order = c.xb.dissectionOrder()
 		opt.Sparsity = c.buildHierSparsity()
-		if hierForced {
+		if c.forceHier {
 			opt.Backend = circuit.SketchHier
 		}
 	}
@@ -284,39 +281,13 @@ func (c *Calibration) buildSketch(poe Cell, pc *poeCal) error {
 		t.cellsVisited.Add(int64(visited))
 		t.cellsSkipped.Add(int64(cells - len(shape) - visited))
 	}
-	var compIdx, compPos []int32
-	var wflat [][]int64
 	if hier {
-		compIdx, compPos, wflat = flattenSensitivitiesWindowed(cells, inShape, window, wdense)
+		pc.compIdx, pc.compPos, pc.wflat = flattenSensitivitiesWindowed(cells, inShape, window, wdense)
 	} else {
-		compIdx, compPos, wflat = flattenSensitivities(cells, inShape, wdense)
-	}
-	// Band edges from the CLT instead of the legacy 512-sample Monte Carlo:
-	// over uniform random data the deviation accumulator is a sum of
-	// independent w*q terms with q uniform on {-3,-1,1,3} (zero mean,
-	// E[q^2] = 5), so its tertiles sit at ±z·sigma with Phi(z) = 2/3. At
-	// 32x32 the sampling alternative would cost ~cells draws per sample per
-	// shape cell — billions of RNG calls per device.
-	edges := make([][2]float64, len(shape))
-	for k := range shape {
-		var s2 float64
-		for _, wq := range wflat[k] {
-			w := float64(wq)
-			s2 += w * w
-		}
-		sigma := math.Sqrt(5*s2) * devInvScale
-		if sigma < 1e-15 { // degenerate: no data sensitivity at this cell
-			edges[k] = [2]float64{-1e300, 1e300}
-		} else {
-			edges[k] = [2]float64{-tertileZ * sigma, tertileZ * sigma}
-		}
+		pc.compIdx, pc.compPos, pc.wflat = flattenSensitivities(cells, inShape, wdense)
 	}
 	pc.shape = shape
 	pc.inShape = inShape
 	pc.base = base
-	pc.compIdx = compIdx
-	pc.compPos = compPos
-	pc.wflat = wflat
-	pc.edges = edges
 	return nil
 }

@@ -1,6 +1,7 @@
 package xbar
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -10,15 +11,21 @@ import (
 
 func calFor(t *testing.T, cfg Config, poe Cell) (*Calibration, *poeCal) {
 	t.Helper()
-	x, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := Calibrate(x)
+	return ensureCal(t, newCal(t, cfg), poe)
+}
+
+// hierCalFor is calFor with the hierarchical sketch backend forced.
+func hierCalFor(t *testing.T, cfg Config, poe Cell) (*Calibration, *poeCal) {
+	t.Helper()
+	return ensureCal(t, newHierCal(t, cfg), poe)
+}
+
+func ensureCal(t *testing.T, c *Calibration, poe Cell) (*Calibration, *poeCal) {
+	t.Helper()
 	if err := c.ensure(poe); err != nil {
 		t.Fatal(err)
 	}
-	return c, &c.poes[cfg.Index(poe)]
+	return c, &c.poes[c.cfg.Index(poe)]
 }
 
 func sizedConfig(rows, cols int) Config {
@@ -27,92 +34,23 @@ func sizedConfig(rows, cols int) Config {
 	return cfg
 }
 
-// TestSketchMatchesDenseCalibration cross-validates the sketch path against
-// the legacy per-PoE dense path at 8x8 and 16x16: same physics through two
-// different solver routes. Weights are huge on the fixed-point grid
-// (~1e9-1e10 quanta at paper parameters) while the two routes agree to
-// ~1e-8 relative, so a tight relative bound is meaningful.
+// TestSketchMatchesDenseCalibration cross-validates the production sketch
+// route against the per-PoE dense oracle: every PoE of the paper's 8x8
+// device, and a corner, centre and edge PoE at 16x16 — same physics through
+// two different solver routes.
 func TestSketchMatchesDenseCalibration(t *testing.T) {
-	for _, size := range []struct{ rows, cols int }{{8, 8}, {16, 16}} {
-		cfgDense := sizedConfig(size.rows, size.cols)
-		cfgDense.Characterization = CharDense
-		cfgSparse := sizedConfig(size.rows, size.cols)
-		cfgSparse.Characterization = CharSparse
-		poes := []Cell{
-			{Row: 0, Col: 0},
-			{Row: size.rows / 2, Col: size.cols / 2},
-			{Row: size.rows - 1, Col: size.cols / 3},
-		}
-		for _, poe := range poes {
-			_, pcD := calFor(t, cfgDense, poe)
-			_, pcS := calFor(t, cfgSparse, poe)
-			if len(pcD.shape) != len(pcS.shape) {
-				t.Fatalf("%dx%d PoE %+v: shape size %d vs %d", size.rows, size.cols, poe, len(pcD.shape), len(pcS.shape))
-			}
-			for k := range pcD.base {
-				if d := math.Abs(pcD.base[k] - pcS.base[k]); d > 1e-9*math.Abs(pcD.base[k])+1e-12 {
-					t.Fatalf("%dx%d PoE %+v shape %d: base %g vs %g", size.rows, size.cols, poe, k, pcD.base[k], pcS.base[k])
-				}
-			}
-			if len(pcD.compIdx) != len(pcS.compIdx) {
-				t.Fatalf("%dx%d PoE %+v: compIdx %d vs %d cells", size.rows, size.cols, poe, len(pcD.compIdx), len(pcS.compIdx))
-			}
-			for j := range pcD.compIdx {
-				if pcD.compIdx[j] != pcS.compIdx[j] {
-					t.Fatalf("%dx%d PoE %+v: compIdx[%d] %d vs %d", size.rows, size.cols, poe, j, pcD.compIdx[j], pcS.compIdx[j])
-				}
-			}
-			for k := range pcD.wflat {
-				for j := range pcD.wflat[k] {
-					wd, ws := pcD.wflat[k][j], pcS.wflat[k][j]
-					lim := int64(math.Abs(float64(wd))*1e-6) + 8
-					if d := wd - ws; d > lim || d < -lim {
-						t.Fatalf("%dx%d PoE %+v w[%d][%d]: dense %d vs sketch %d", size.rows, size.cols, poe, k, j, wd, ws)
-					}
-				}
-			}
-			// Band edges come from different estimators (sampled tertiles vs
-			// CLT) — only sanity-check the sketch's: symmetric and ordered.
-			for k, e := range pcS.edges {
-				if !(e[0] < e[1]) || e[0] != -e[1] {
-					t.Fatalf("%dx%d PoE %+v shape %d: bad CLT edges %v", size.rows, size.cols, poe, k, e)
-				}
-			}
-		}
+	cfg8 := sizedConfig(8, 8)
+	cal8 := newCal(t, cfg8)
+	for i := 0; i < cfg8.Cells(); i++ {
+		poe := cfg8.CellAt(i)
+		_, pc := ensureCal(t, cal8, poe)
+		assertMatchesOracle(t, fmt.Sprintf("8x8 PoE %+v", poe), denseOracle(t, cfg8, poe), pc)
 	}
-}
-
-// TestCharAutoSelection pins the mode dispatch: at 8x8 CharAuto must take
-// the dense path (golden-vector compatibility — band edges match the legacy
-// sampled estimator bit for bit), at 16x16 the sketch path (edges match the
-// CLT estimator).
-func TestCharAutoSelection(t *testing.T) {
-	poe := Cell{Row: 3, Col: 4}
-
-	auto8, pcAuto8 := calFor(t, sizedConfig(8, 8), poe)
-	cfgD := sizedConfig(8, 8)
-	cfgD.Characterization = CharDense
-	_, pcD8 := calFor(t, cfgD, poe)
-	if auto8.useSketch() {
-		t.Fatal("8x8 CharAuto selected the sketch path")
-	}
-	for k := range pcAuto8.edges {
-		if pcAuto8.edges[k] != pcD8.edges[k] {
-			t.Fatalf("8x8 auto vs dense edges differ at %d: %v vs %v", k, pcAuto8.edges[k], pcD8.edges[k])
-		}
-	}
-
-	auto16, pcAuto16 := calFor(t, sizedConfig(16, 16), poe)
-	cfgS := sizedConfig(16, 16)
-	cfgS.Characterization = CharSparse
-	_, pcS16 := calFor(t, cfgS, poe)
-	if !auto16.useSketch() {
-		t.Fatal("16x16 CharAuto selected the dense path")
-	}
-	for k := range pcAuto16.edges {
-		if pcAuto16.edges[k] != pcS16.edges[k] {
-			t.Fatalf("16x16 auto vs sketch edges differ at %d: %v vs %v", k, pcAuto16.edges[k], pcS16.edges[k])
-		}
+	cfg16 := sizedConfig(16, 16)
+	cal16 := newCal(t, cfg16)
+	for _, poe := range []Cell{{Row: 0, Col: 0}, {Row: 8, Col: 8}, {Row: 15, Col: 5}} {
+		_, pc := ensureCal(t, cal16, poe)
+		assertMatchesOracle(t, fmt.Sprintf("16x16 PoE %+v", poe), denseOracle(t, cfg16, poe), pc)
 	}
 }
 
@@ -124,10 +62,8 @@ func TestCharAutoSelection(t *testing.T) {
 func TestTruncatedDeviationsBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, size := range []struct{ rows, cols int }{{8, 8}, {16, 16}} {
-		cfgTrunc := sizedConfig(size.rows, size.cols)
-		cfgTrunc.Characterization = CharSparse // default truncation tolerance
+		cfgTrunc := sizedConfig(size.rows, size.cols) // default truncation tolerance
 		cfgFull := sizedConfig(size.rows, size.cols)
-		cfgFull.Characterization = CharSparse
 		cfgFull.TruncationTol = math.SmallestNonzeroFloat64 // never stops early
 		poe := Cell{Row: size.rows / 2, Col: 1}
 		_, pcT := calFor(t, cfgTrunc, poe)
@@ -167,9 +103,7 @@ func TestTruncatedDeviationsBitIdentical(t *testing.T) {
 // swept cell is characterized.
 func TestTruncationRadiusKeepsExactWeights(t *testing.T) {
 	cfgFull := sizedConfig(16, 16)
-	cfgFull.Characterization = CharSparse
 	cfgCap := sizedConfig(16, 16)
-	cfgCap.Characterization = CharSparse
 	cfgCap.TruncationRadius = 5
 	poe := Cell{Row: 8, Col: 8}
 	_, pcF := calFor(t, cfgFull, poe)
@@ -207,7 +141,6 @@ func TestTruncationTolMonotonicity(t *testing.T) {
 	strictGrowth := false
 	for i, tol := range tols {
 		cfg := sizedConfig(16, 16)
-		cfg.Characterization = CharSparse
 		cfg.TruncationTol = tol
 		_, pc := calFor(t, cfg, poe)
 		cur := make(map[int32]bool, len(pc.compIdx))

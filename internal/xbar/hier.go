@@ -4,8 +4,8 @@ import (
 	"snvmm/internal/circuit"
 )
 
-// The hierarchical characterization path (CharHier, and CharAuto/CharSparse
-// above hierUnknownCutoff unknowns). The crossbar's sneak network is a
+// The hierarchical sketch backend, selected above hierUnknownCutoff
+// unknowns. The crossbar's sneak network is a
 // Rows x Cols grid of (row-junction, column-junction) vertex pairs: row
 // wires chain row junctions along a row, column wires chain column
 // junctions along a column, and each cell's memristor+access edge bridges
@@ -22,7 +22,7 @@ import (
 // into the block-sparse W/C table pattern, so table memory scales with the
 // truncation neighbourhood instead of with device size.
 
-// defaultHierRadius is the hierarchical path's sweep/truncation radius when
+// defaultHierRadius is the hierarchical backend's sweep/truncation radius when
 // Config.TruncationRadius is zero. Measured at 32x32 paper parameters the
 // sensitivity weights plateau around 2^-7..2^-10 V/state out to the array
 // edge (long-range sneak coupling; see DESIGN.md), so unlike the adaptive
@@ -31,15 +31,15 @@ import (
 // while bounding per-PoE work and table fill by a constant.
 const defaultHierRadius = 8
 
-// hierUnknownCutoff is the unknown count above which CharAuto/CharSparse
-// supply ordering and sparsity hints so the sketch auto-selects the
+// hierUnknownCutoff is the unknown count above which the calibration
+// supplies ordering and sparsity hints so the sketch auto-selects the
 // hierarchical backend. It matches the circuit layer's default HierLimit:
 // 16x16 (544 unknowns) stays on the bit-stable dense backend, 24x24 (1200)
 // and up go hierarchical.
 const hierUnknownCutoff = 1024
 
 // hierTruncRadius is the effective Chebyshev sweep radius of the
-// hierarchical path.
+// hierarchical backend.
 func (c *Calibration) hierTruncRadius() int {
 	if c.cfg.TruncationRadius > 0 {
 		return c.cfg.TruncationRadius
@@ -262,7 +262,7 @@ func (scr *hierScratch) weightSlab(rows, width int) [][]int64 {
 // flattenSensitivitiesWindowed is flattenSensitivities for a window-indexed
 // weight table: wwin[k] is aligned with window, and only window cells can
 // carry weight. The output layout is identical (ascending compIdx,
-// cells-length compPos) so every calibration consumer is path-agnostic.
+// cells-length compPos) so every calibration consumer is backend-agnostic.
 func flattenSensitivitiesWindowed(cells int, inShape []bool, window []int32, wwin [][]int64) (compIdx, compPos []int32, wflat [][]int64) {
 	compPos = make([]int32, cells)
 	for i := range compPos {

@@ -1,6 +1,7 @@
 package xbar
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -34,50 +35,21 @@ func TestDissectionOrderIsPermutation(t *testing.T) {
 	}
 }
 
-// TestHierMatchesDenseCalibration cross-validates the hierarchical path
-// against the legacy per-PoE dense path at 8x8, where the default radius
-// (8) covers the whole array: same physics through a third solver route.
-// Tolerances mirror TestSketchMatchesDenseCalibration.
+// TestHierMatchesDenseCalibration cross-validates the hierarchical backend
+// against the per-PoE dense oracle at 8x8, where the default radius (8)
+// covers the whole array: same physics through a third solver route.
 func TestHierMatchesDenseCalibration(t *testing.T) {
-	cfgDense := sizedConfig(8, 8)
-	cfgDense.Characterization = CharDense
-	cfgHier := sizedConfig(8, 8)
-	cfgHier.Characterization = CharHier
+	cfg := sizedConfig(8, 8)
 	for _, poe := range []Cell{{Row: 0, Col: 0}, {Row: 4, Col: 4}, {Row: 7, Col: 2}} {
-		_, pcD := calFor(t, cfgDense, poe)
-		cH, pcH := calFor(t, cfgHier, poe)
+		cH, pcH := hierCalFor(t, cfg, poe)
 		sk, _, err := cH.sketch()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if sk.Backend() != circuit.SketchHier {
-			t.Fatalf("CharHier resolved to backend %v", sk.Backend())
+			t.Fatalf("forced hierarchical calibration resolved to backend %v", sk.Backend())
 		}
-		if len(pcD.shape) != len(pcH.shape) {
-			t.Fatalf("PoE %+v: shape size %d vs %d", poe, len(pcD.shape), len(pcH.shape))
-		}
-		for k := range pcD.base {
-			if d := math.Abs(pcD.base[k] - pcH.base[k]); d > 1e-9*math.Abs(pcD.base[k])+1e-12 {
-				t.Fatalf("PoE %+v shape %d: base %g vs %g", poe, k, pcD.base[k], pcH.base[k])
-			}
-		}
-		if len(pcD.compIdx) != len(pcH.compIdx) {
-			t.Fatalf("PoE %+v: compIdx %d vs %d cells", poe, len(pcD.compIdx), len(pcH.compIdx))
-		}
-		for j := range pcD.compIdx {
-			if pcD.compIdx[j] != pcH.compIdx[j] {
-				t.Fatalf("PoE %+v: compIdx[%d] %d vs %d", poe, j, pcD.compIdx[j], pcH.compIdx[j])
-			}
-		}
-		for k := range pcD.wflat {
-			for j := range pcD.wflat[k] {
-				wd, wh := pcD.wflat[k][j], pcH.wflat[k][j]
-				lim := int64(math.Abs(float64(wd))*1e-6) + 8
-				if d := wd - wh; d > lim || d < -lim {
-					t.Fatalf("PoE %+v w[%d][%d]: dense %d vs hier %d", poe, k, j, wd, wh)
-				}
-			}
-		}
+		assertMatchesOracle(t, fmt.Sprintf("PoE %+v", poe), denseOracle(t, cfg, poe), pcH)
 	}
 }
 
@@ -87,13 +59,11 @@ func TestHierMatchesDenseCalibration(t *testing.T) {
 // factorization round-off.
 func TestHierMatchesSketch16(t *testing.T) {
 	cfgS := sizedConfig(16, 16)
-	cfgS.Characterization = CharSparse
 	cfgH := sizedConfig(16, 16)
-	cfgH.Characterization = CharHier
 	cfgH.TruncationRadius = 15 // >= fullRad of every PoE: no truncation
 	for _, poe := range []Cell{{Row: 8, Col: 8}, {Row: 0, Col: 15}} {
 		_, pcS := calFor(t, cfgS, poe)
-		_, pcH := calFor(t, cfgH, poe)
+		_, pcH := hierCalFor(t, cfgH, poe)
 		if len(pcS.compIdx) != len(pcH.compIdx) {
 			t.Fatalf("PoE %+v: compIdx %d vs %d cells", poe, len(pcS.compIdx), len(pcH.compIdx))
 		}
@@ -121,14 +91,12 @@ func TestHierMatchesSketch16(t *testing.T) {
 // which other entries the sparsity materializes.
 func TestHierTruncationKeepsExactWeights(t *testing.T) {
 	cfgWide := sizedConfig(16, 16)
-	cfgWide.Characterization = CharHier
 	cfgWide.TruncationRadius = 12
 	cfgNarrow := sizedConfig(16, 16)
-	cfgNarrow.Characterization = CharHier
 	cfgNarrow.TruncationRadius = 4
 	poe := Cell{Row: 8, Col: 8}
-	_, pcW := calFor(t, cfgWide, poe)
-	_, pcN := calFor(t, cfgNarrow, poe)
+	_, pcW := hierCalFor(t, cfgWide, poe)
+	_, pcN := hierCalFor(t, cfgNarrow, poe)
 	if len(pcN.compIdx) >= len(pcW.compIdx) {
 		t.Fatalf("radius 4 did not truncate: %d vs %d complement cells", len(pcN.compIdx), len(pcW.compIdx))
 	}
@@ -149,15 +117,10 @@ func TestHierTruncationKeepsExactWeights(t *testing.T) {
 }
 
 // hierSketchFor builds just the shared device sketch (no per-PoE sweeps)
-// for a CharHier config.
+// with the hierarchical backend forced.
 func hierSketchFor(t *testing.T, cfg Config) *circuit.ProbeSketch {
 	t.Helper()
-	x, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := Calibrate(x)
-	sk, _, err := c.sketch()
+	sk, _, err := newHierCal(t, cfg).sketch()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +137,6 @@ func hierSketchFor(t *testing.T, cfg Config) *circuit.ProbeSketch {
 func TestHierTableMemoryAccounting(t *testing.T) {
 	bytesAt := func(rows, cols, radius int) int64 {
 		cfg := sizedConfig(rows, cols)
-		cfg.Characterization = CharHier
 		cfg.TruncationRadius = radius
 		return hierSketchFor(t, cfg).TableBytes()
 	}
@@ -196,11 +158,11 @@ func TestHierTableMemoryAccounting(t *testing.T) {
 }
 
 // TestHierPulseRoundTrip: end-to-end SPE invertibility through the
-// hierarchical path — a pulse train applied through a CharHier calibration
-// must be exactly undone by the inverse classes in reverse order.
+// hierarchical backend — a pulse train applied through a forced-hierarchical
+// calibration must be exactly undone by the inverse classes in reverse
+// order.
 func TestHierPulseRoundTrip(t *testing.T) {
 	cfg := sizedConfig(16, 16)
-	cfg.Characterization = CharHier
 	x, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -214,6 +176,7 @@ func TestHierPulseRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	cal := Calibrate(x)
+	cal.forceHier = true
 	type step struct {
 		poe   Cell
 		class int
@@ -250,17 +213,19 @@ func TestHierPulseRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCharHierValidation: CharHier is incompatible with voltage-threshold
-// shapes (no analytic truncation footprint).
+// TestCharHierValidation: the hierarchical backend is incompatible with
+// voltage-threshold shapes (no analytic truncation footprint), so forcing
+// it on a ShapeVoltage device fails the sketch build instead of
+// characterizing with a wrong sparsity.
 func TestCharHierValidation(t *testing.T) {
 	cfg := sizedConfig(8, 8)
-	cfg.Characterization = CharHier
 	cfg.Shape = ShapeVoltage
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("CharHier+ShapeVoltage validated")
+	c := newHierCal(t, cfg)
+	if _, _, err := c.sketch(); err == nil {
+		t.Fatal("forced hierarchical sketch built for ShapeVoltage")
 	}
-	if _, err := New(cfg); err == nil {
-		t.Fatal("CharHier+ShapeVoltage crossbar built")
+	if err := c.ensure(Cell{Row: 4, Col: 4}); err == nil {
+		t.Fatal("forced hierarchical ShapeVoltage PoE characterized")
 	}
 }
 
@@ -269,13 +234,8 @@ func TestCharHierValidation(t *testing.T) {
 // layer validates — and the window is always contained in them.
 func TestHierSparsityWellFormed(t *testing.T) {
 	cfg := sizedConfig(12, 9)
-	cfg.Characterization = CharHier
 	cfg.TruncationRadius = 3
-	x, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := Calibrate(x)
+	c := newCal(t, cfg)
 	sp := c.buildHierSparsity()
 	inRow := func(row []int32, v int32) bool {
 		k := sort.Search(len(row), func(i int) bool { return row[i] >= v })

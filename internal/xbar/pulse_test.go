@@ -231,8 +231,8 @@ func TestPulseDataDependence(t *testing.T) {
 	for _, c := range shape {
 		inShape[xb.Cfg.Index(c)] = true
 	}
-	// Find a complement cell whose level flips at least one strength when
-	// toggled across trials.
+	// Changing every complement cell's level must move the mixing word of
+	// at least one shape cell in some trial.
 	rng := rand.New(rand.NewSource(23))
 	diffs := 0
 	for trial := 0; trial < 50; trial++ {
@@ -240,54 +240,28 @@ func TestPulseDataDependence(t *testing.T) {
 		for i := range levels {
 			levels[i] = rng.Intn(device.Levels)
 		}
-		s1, err := cal.Strengths(levels, poe)
+		m1, err := cal.Mixers(levels, poe)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Change every complement cell's level.
 		for i := range levels {
 			if !inShape[i] {
 				levels[i] = (levels[i] + 2) % device.Levels
 			}
 		}
-		s2, err := cal.Strengths(levels, poe)
+		m2, err := cal.Mixers(levels, poe)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for k := range s1 {
-			if s1[k] != s2[k] {
+		for k := range m1 {
+			if m1[k] != m2[k] {
 				diffs++
 				break
 			}
 		}
 	}
 	if diffs == 0 {
-		t.Error("strength classes never depend on complement data; avalanche would fail")
-	}
-}
-
-func TestStrengthsDeterministicAndInRange(t *testing.T) {
-	xb := newTestXbar(t)
-	cal := Calibrate(xb)
-	levels := make([]int, xb.Cfg.Cells())
-	for i := range levels {
-		levels[i] = i % device.Levels
-	}
-	s1, err := cal.Strengths(levels, Cell{1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := cal.Strengths(levels, Cell{1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := range s1 {
-		if s1[k] < 1 || s1[k] > 3 {
-			t.Errorf("strength %d out of range", s1[k])
-		}
-		if s1[k] != s2[k] {
-			t.Error("strengths not deterministic")
-		}
+		t.Error("mixers never depend on complement data; avalanche would fail")
 	}
 }
 

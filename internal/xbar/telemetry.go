@@ -23,7 +23,7 @@ type xbarTel struct {
 	sfWaits     *telemetry.Counter // ensure() blocked on another goroutine's build
 	warmPoes    *telemetry.Counter // PoEs swept by WarmAll workers
 
-	// Sketch-path truncation accounting: complement cells whose sensitivity
+	// Sweep truncation accounting: complement cells whose sensitivity
 	// was computed vs cells dropped by the adaptive ring sweep.
 	cellsVisited *telemetry.Counter
 	cellsSkipped *telemetry.Counter

@@ -24,6 +24,14 @@ func newCal(t *testing.T, cfg Config) *Calibration {
 	return Calibrate(x)
 }
 
+// newHierCal is newCal with the hierarchical sketch backend forced.
+func newHierCal(t *testing.T, cfg Config) *Calibration {
+	t.Helper()
+	c := newCal(t, cfg)
+	c.forceHier = true
+	return c
+}
+
 // TestWarmAllMatchesLazy checks that an eagerly warmed calibration holds
 // exactly the records a lazy first-touch build would have produced.
 func TestWarmAllMatchesLazy(t *testing.T) {
@@ -155,21 +163,20 @@ func TestMonteCarloErrorZeroResult(t *testing.T) {
 }
 
 // TestWarmAllParallelHier is the parallel hierarchical ring sweep under
-// the race detector: a multi-worker WarmAll over a CharHier device (each
-// worker claiming chunks of PoEs, all sharing the device sketch and the
-// pooled per-PoE scratch) must produce exactly the records a lazy
-// single-threaded build would. GOMAXPROCS is raised so the worker clamp
+// the race detector: a multi-worker WarmAll over a forced-hierarchical
+// device (each worker claiming chunks of PoEs, all sharing the device
+// sketch and the pooled per-PoE scratch) must produce exactly the records a
+// lazy single-threaded build would. GOMAXPROCS is raised so the worker clamp
 // cannot collapse the fan-out on a single-core host.
 func TestWarmAllParallelHier(t *testing.T) {
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
 	cfg := DefaultConfig()
-	cfg.Characterization = CharHier
-	warm := newCal(t, cfg)
+	warm := newHierCal(t, cfg)
 	if err := warm.WarmAll(context.Background(), 4); err != nil {
 		t.Fatal(err)
 	}
-	lazy := newCal(t, cfg)
+	lazy := newHierCal(t, cfg)
 	for _, i := range []int{0, cfg.Cells() / 2, cfg.Cells() - 1} {
 		poe := cfg.CellAt(i)
 		ws, err := warm.Shape(poe)
