@@ -46,8 +46,8 @@ bench:
 	  $(GO) test ./internal/core -run xxx -bench 'BenchmarkSPECU(ShardedRead|EncryptBatch)' -benchtime 20x -benchmem -cpu 4 ) \
 		| $(GO) run ./cmd/benchjson -require 23 -o BENCH_specu.json
 	@cat BENCH_specu.json
-	$(GO) test ./internal/poe -run xxx -bench 'BenchmarkPlacement' -benchtime 1x -benchmem \
-		| $(GO) run ./cmd/benchjson -require 2 -o BENCH_ilp.json
+	$(GO) test ./internal/poe -run xxx -bench 'BenchmarkPlacement|BenchmarkTable1Search' -benchtime 1x -benchmem \
+		| $(GO) run ./cmd/benchjson -require 5 -o BENCH_ilp.json
 	@cat BENCH_ilp.json
 	( $(GO) test ./internal/linalg -run xxx -bench 'BenchmarkCholesky' -benchtime 10x -benchmem ; \
 	  $(GO) test ./internal/xbar -run xxx -bench 'BenchmarkColdCharacterize' -benchtime 3x -benchmem ) \

@@ -16,8 +16,11 @@ go test -race ./...
 # renamed benchmark silently matching nothing also fails.
 go test ./internal/core -run xxx -bench 'BenchmarkBlock' -benchtime 1x -benchmem \
 	| go run ./cmd/benchjson -require 3 -o /dev/null
-go test ./internal/poe -run xxx -bench 'BenchmarkPlacement8x8' -benchtime 1x -benchmem \
-	| go run ./cmd/benchjson -require 1 -o /dev/null
+# The Table 1 S=48 search (~2800 nodes, under a second) keeps the
+# branch-and-bound path in the smoke; the 8x8 S=0 placement is root-integral.
+( go test ./internal/poe -run xxx -bench 'BenchmarkPlacement8x8' -benchtime 1x -benchmem ; \
+  go test ./internal/poe -run xxx -bench 'BenchmarkTable1Search/workers=1$' -benchtime 1x -benchmem ) \
+	| go run ./cmd/benchjson -require 3 -o /dev/null
 ( go test ./internal/linalg -run xxx -bench 'BenchmarkCholeskyFactor' -benchtime 1x -benchmem ; \
   go test ./internal/xbar -run xxx -bench 'BenchmarkColdCharacterize(8x8|64x64)$' -benchtime 1x -benchmem ) \
 	| go run ./cmd/benchjson -require 3 -o /dev/null

@@ -403,7 +403,9 @@ func montecarlo() error {
 func table1() error {
 	cfg := xbar.DefaultConfig()
 	for _, s := range []int{0, 32, 48, 56} {
+		start := time.Now()
 		res, err := poe.Solve(poe.Spec{Cfg: cfg, S: s, MaxNodes: 100000, Telemetry: telReg, Tracer: tracer})
+		wall := time.Since(start)
 		if err != nil {
 			fmt.Printf("S=%2d: %v\n", s, err)
 			continue
@@ -411,6 +413,8 @@ func table1() error {
 		st := poe.StatsOf(cfg, cfg.PaperShape, res.PoEs)
 		fmt.Printf("S=%2d: %2d PoEs (optimal=%v)  single-covered=%2d  overlapped=%2d  total-coverage=%d\n",
 			s, len(res.PoEs), res.Optimal, st.Single, st.Overlapped, st.TotalCover)
+		fmt.Printf("      search: %d nodes, %d simplex iterations, %.0f ms\n",
+			res.Nodes, res.SimplexIters, float64(wall.Microseconds())/1000)
 	}
 	fmt.Println("paper: 16 PoEs secure the 8x8 crossbar (we reach 16 at S=56, the")
 	fmt.Println("security-first operating point; see EXPERIMENTS.md)")

@@ -671,18 +671,17 @@ func SolveILPContext(ctx context.Context, p *Problem, opt ILPOptions) (Solution,
 	}
 	opt.traceCtx = root.Context()
 	sol, err := solveBB(ctx, p, opt, nil, math.Inf(1), math.Inf(-1), pool)
-	if err != nil || sol.Status != Optimal || !opt.Canonicalize {
-		root.End(sol.Nodes, int64(sol.Status))
-		return sol, err
+	if err == nil && sol.Status == Optimal && opt.Canonicalize {
+		var x []float64
+		if x, err = canonicalize(ctx, p, opt, sol.Objective, sol.X, pool); err == nil {
+			sol.X = x
+		}
 	}
-	x, err := canonicalize(ctx, p, opt, sol.Objective, sol.X, pool)
-	if err != nil {
-		root.End(sol.Nodes, int64(sol.Status))
-		return sol, err
+	for _, ws := range pool {
+		sol.SimplexIters += ws.Iters
 	}
-	sol.X = x
 	root.End(sol.Nodes, int64(sol.Status))
-	return sol, nil
+	return sol, err
 }
 
 // canonicalize computes the lexicographically smallest optimal assignment

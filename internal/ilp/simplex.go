@@ -108,6 +108,10 @@ type Solution struct {
 	// Work-distribution statistics of the parallel search.
 	Steals           []int64 // per-worker pops off the shared frontier
 	IncumbentUpdates int64   // incumbent improvements accepted
+
+	// SimplexIters is the simplex iterations of the whole solve, summed over
+	// the worker pool: the main search plus every canonicalization probe.
+	SimplexIters int64
 }
 
 const eps = 1e-9

@@ -67,6 +67,11 @@ type Workspace struct {
 	red      []float64
 	x        []float64
 
+	// Nonzero columns of the last pivot row and their scaled values, kept
+	// so a pivot allocates nothing (capacity nCols).
+	nzIdx []int
+	nzVal []float64
+
 	// Live dual-path tableau state, for warm starts across nodes.
 	tabValid   bool
 	tabFix     []int8 // -1 free, else which bound the tableau pins (0/1)
@@ -183,6 +188,8 @@ func NewWorkspace(p *Problem) (*Workspace, error) {
 	w.obj = make([]float64, w.nCols)
 	w.red = make([]float64, w.nCols)
 	w.x = make([]float64, w.n)
+	w.nzIdx = make([]int, 0, w.nCols)
+	w.nzVal = make([]float64, 0, w.nCols)
 	w.tabFix = make([]int8, w.n)
 	return w, nil
 }
@@ -458,72 +465,28 @@ const ptol = 1e-7 // primal feasibility tolerance on basic values
 // degeneracy streak both rules fall back to smallest-index (Bland) to
 // break cycles. All selection is deterministic for a given tableau.
 func (w *Workspace) dualSimplex() (float64, Status) {
-	m, N := w.m, w.nCols
 	degenerate := 0
 	for iter := 0; iter < simplexMaxIters; iter++ {
 		w.Iters++
 		if iter&255 == 255 && w.Stop != nil && w.Stop.Load() {
 			return 0, LimitReached
 		}
-		leave := -1
-		if degenerate < 40 {
-			worst := ptol
-			for i := 0; i < m; i++ {
-				v := w.tab[i][N]
-				viol := -v
-				if u := w.ub[w.basis[i]]; !math.IsInf(u, 1) && v-u > viol {
-					viol = v - u
-				}
-				if viol > worst {
-					worst = viol
-					leave = i
-				}
-			}
-		} else {
-			// Bland-style anti-cycling: the violated row whose basic
-			// variable has the smallest index.
-			for i := 0; i < m; i++ {
-				v := w.tab[i][N]
-				if v < -ptol || v > w.ub[w.basis[i]]+ptol {
-					if leave < 0 || w.basis[i] < w.basis[leave] {
-						leave = i
-					}
-				}
-			}
-		}
+		leave := w.dualLeave(degenerate >= 40)
 		if leave < 0 {
 			val := w.tabOffset
-			for i := 0; i < m; i++ {
+			for i := 0; i < w.m; i++ {
 				if cb := w.obj[w.basis[i]]; cb != 0 {
-					val += cb * w.tab[i][N]
+					val += cb * w.tab[i][w.nCols]
 				}
 			}
 			return val, Optimal
 		}
-		if w.tab[leave][N] > -ptol {
+		if w.tab[leave][w.nCols] > -ptol {
 			// Above its upper bound: complement so the violation reads as
 			// "below zero" and the standard ratio test applies.
 			w.complementBasic(leave)
 		}
-		// Entering must be min-ratio regardless of the anti-cycling mode —
-		// anything else would break dual feasibility. Scanning ascending
-		// with a strict improvement test makes ties resolve to the
-		// smallest index.
-		row := w.tab[leave]
-		enter := -1
-		best := math.Inf(1)
-		for j := 0; j < w.aw; j++ {
-			if row[j] < -eps && w.ub[j] > eps {
-				r := w.red[j]
-				if r < 0 {
-					r = 0
-				}
-				if ratio := r / -row[j]; ratio < best-eps {
-					best = ratio
-					enter = j
-				}
-			}
-		}
+		enter := w.dualEnter(leave)
 		if enter < 0 {
 			return 0, Infeasible
 		}
@@ -535,6 +498,62 @@ func (w *Workspace) dualSimplex() (float64, Status) {
 		w.pivotRed(leave, enter)
 	}
 	return 0, LimitReached
+}
+
+// dualLeave picks the dual simplex's leaving row: the most-violated basic
+// bound, or under bland the violated row whose basic variable has the
+// smallest index. It returns -1 when the basis is primal feasible.
+func (w *Workspace) dualLeave(bland bool) int {
+	N := w.nCols
+	leave := -1
+	if !bland {
+		worst := ptol
+		for i := 0; i < w.m; i++ {
+			v := w.tab[i][N]
+			viol := -v
+			if u := w.ub[w.basis[i]]; !math.IsInf(u, 1) && v-u > viol {
+				viol = v - u
+			}
+			if viol > worst {
+				worst = viol
+				leave = i
+			}
+		}
+		return leave
+	}
+	for i := 0; i < w.m; i++ {
+		v := w.tab[i][N]
+		if v < -ptol || v > w.ub[w.basis[i]]+ptol {
+			if leave < 0 || w.basis[i] < w.basis[leave] {
+				leave = i
+			}
+		}
+	}
+	return leave
+}
+
+// dualEnter picks the entering column for leaving row leave (whose basic
+// value is below zero): the minimum dual ratio red_j / -t_rj, which keeps
+// dual feasibility in either anti-cycling mode. Scanning ascending with a
+// strict improvement test resolves ties to the smallest index. It returns
+// -1 when no column can enter, i.e. the problem is infeasible.
+func (w *Workspace) dualEnter(leave int) int {
+	row := w.tab[leave]
+	enter := -1
+	best := math.Inf(1)
+	for j := 0; j < w.aw; j++ {
+		if row[j] < -eps && w.ub[j] > eps {
+			r := w.red[j]
+			if r < 0 {
+				r = 0
+			}
+			if ratio := r / -row[j]; ratio < best-eps {
+				best = ratio
+				enter = j
+			}
+		}
+	}
+	return enter
 }
 
 // complementBasic rewrites the basic column of row r in terms of its
@@ -848,30 +867,48 @@ func (w *Workspace) complementCol(j int, obj []float64, offset *float64) {
 	w.flipped[j] = !w.flipped[j]
 }
 
-// pivot performs a Gauss-Jordan pivot on tab[row][col]. Sweeps cover the
-// active width plus the RHS column; columns beyond aw are identically zero
-// in the current mode.
+// pivot performs a Gauss-Jordan pivot on tab[row][col]. The pivot row is
+// scaled once, recording its nonzero columns (within the active width aw;
+// columns beyond it are identically zero in the current mode) and their
+// scaled values; every other row with a nonzero entry in col then updates
+// only those columns plus the RHS. The skipped entries are exactly the ones
+// a full-width sweep would change by f*0, which leaves a value unchanged up
+// to the sign of a zero — so every comparison the simplex makes sees the
+// same numbers, and the pivot sequence matches the full sweep's. Rows are
+// updated two at a time so one pass over the nonzero list serves both.
 func (w *Workspace) pivot(row, col int) {
 	N, R := w.aw, w.nCols
 	pr := w.tab[row]
 	pv := pr[col]
-	for j := 0; j < N; j++ {
-		pr[j] /= pv
+	idx, val := w.nzIdx[:0], w.nzVal[:0]
+	for j, a := range pr[:N] {
+		if a != 0 {
+			v := a / pv
+			pr[j] = v
+			if v != 0 {
+				idx = append(idx, j)
+				val = append(val, v)
+			}
+		}
 	}
-	pr[R] /= pv
-	for i := range w.tab {
-		if i == row {
+	rhs := pr[R] / pv
+	pr[R] = rhs
+	w.nzIdx, w.nzVal = idx, val
+
+	pending := -1
+	for i, ri := range w.tab {
+		if i == row || ri[col] == 0 {
 			continue
 		}
-		ri := w.tab[i]
-		f := ri[col]
-		if f == 0 {
+		if pending < 0 {
+			pending = i
 			continue
 		}
-		for j := 0; j < N; j++ {
-			ri[j] -= f * pr[j]
-		}
-		ri[R] -= f * pr[R]
+		eliminate2(w.tab[pending], ri, col, R, idx, val, rhs)
+		pending = -1
+	}
+	if pending >= 0 {
+		eliminate1(w.tab[pending], col, R, idx, val, rhs)
 	}
 	w.basisRow[w.basis[row]] = -1
 	w.basis[row] = col
@@ -879,20 +916,42 @@ func (w *Workspace) pivot(row, col int) {
 	w.pivotCount++
 }
 
+// eliminate1 subtracts ri[col] times the scaled pivot row (nonzeros idx/val,
+// RHS rhs) from row ri, which zeroes ri[col].
+func eliminate1(ri []float64, col, R int, idx []int, val []float64, rhs float64) {
+	f := ri[col]
+	val = val[:len(idx)]
+	for k, j := range idx {
+		ri[j] -= f * val[k]
+	}
+	ri[R] -= f * rhs
+}
+
+// eliminate2 is eliminate1 on two rows in one pass over the nonzero list.
+func eliminate2(ra, rb []float64, col, R int, idx []int, val []float64, rhs float64) {
+	fa, fb := ra[col], rb[col]
+	val = val[:len(idx)]
+	for k, j := range idx {
+		v := val[k]
+		ra[j] -= fa * v
+		rb[j] -= fb * v
+	}
+	ra[R] -= fa * rhs
+	rb[R] -= fb * rhs
+}
+
 // pivotRed pivots and updates the live reduced-cost row incrementally
-// (red_j -= red_enter * t'_rj), avoiding the O(m*N) recomputation per
-// iteration the primal path pays.
+// (red_j -= red_enter * t'_rj) over the pivot row's nonzeros, avoiding the
+// O(m*N) recomputation per iteration the primal path pays.
 func (w *Workspace) pivotRed(row, col int) {
 	w.pivot(row, col)
 	re := w.red[col]
 	if re == 0 {
 		return
 	}
-	pr := w.tab[row]
 	red := w.red
-	for j := 0; j < w.aw; j++ {
-		if pr[j] != 0 {
-			red[j] -= re * pr[j]
-		}
+	val := w.nzVal[:len(w.nzIdx)]
+	for k, j := range w.nzIdx {
+		red[j] -= re * val[k]
 	}
 }

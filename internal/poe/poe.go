@@ -68,9 +68,10 @@ type Result struct {
 	Optimal  bool  // true if branch and bound proved optimality
 
 	// Search statistics from the solver.
-	Nodes     int64   // branch-and-bound nodes explored
-	BestBound float64 // proven lower bound on the optimal PoE count
-	Gap       float64 // relative optimality gap; 0 when Optimal
+	Nodes        int64   // branch-and-bound nodes explored
+	SimplexIters int64   // simplex iterations, main search plus canonicalization
+	BestBound    float64 // proven lower bound on the optimal PoE count
+	Gap          float64 // relative optimality gap; 0 when Optimal
 
 	// Work distribution of the parallel search.
 	Steals           []int64 // per-worker pops off the shared frontier
@@ -171,6 +172,7 @@ func SolveContext(ctx context.Context, spec Spec) (*Result, error) {
 	res := &Result{
 		Optimal:          sol.Status == ilp.Optimal,
 		Nodes:            sol.Nodes,
+		SimplexIters:     sol.SimplexIters,
 		BestBound:        sol.BestBound,
 		Gap:              sol.RelGap,
 		Steals:           sol.Steals,
