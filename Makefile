@@ -41,6 +41,8 @@ test-attacks:
 # at -cpu 4 so the archive carries the multi-core matrix (benchjson derives
 # speedup_vs_w1 per -cpu level); on a 1-vCPU host those rows measure
 # timeslicing overhead, not speedup — see ci.sh for the gated assertion.
+# BENCH_sim.json holds the Fig. 7/8 simulator's ns/inst per engine and the
+# trace generator's alone.
 bench:
 	( $(GO) test ./internal/core -run xxx -bench 'BenchmarkBlock|BenchmarkNewBlock|BenchmarkSPECU' -benchtime 20x -benchmem ; \
 	  $(GO) test ./internal/core -run xxx -bench 'BenchmarkSPECU(ShardedRead|EncryptBatch)' -benchtime 20x -benchmem -cpu 4 ) \
@@ -53,6 +55,10 @@ bench:
 	  $(GO) test ./internal/xbar -run xxx -bench 'BenchmarkColdCharacterize' -benchtime 3x -benchmem ) \
 		| $(GO) run ./cmd/benchjson -require 10 -o BENCH_linalg.json
 	@cat BENCH_linalg.json
+	( $(GO) test ./internal/sim -run xxx -bench 'BenchmarkSimRun' -benchtime 3x -benchmem ; \
+	  $(GO) test ./internal/trace -run xxx -bench 'BenchmarkTraceGen' -benchtime 3x -benchmem ) \
+		| $(GO) run ./cmd/benchjson -require 7 -o BENCH_sim.json
+	@cat BENCH_sim.json
 
 ci:
 	./ci.sh

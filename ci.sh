@@ -26,6 +26,11 @@ go test ./internal/core -run xxx -bench 'BenchmarkBlock' -benchtime 1x -benchmem
 	| go run ./cmd/benchjson -require 3 -o /dev/null
 go test ./internal/redteam -run xxx -bench . -benchtime 1x -benchmem \
 	| go run ./cmd/benchjson -require 4 -o /dev/null
+# The Fig. 7/8 simulator hot loop: one 50k-instruction run per profile
+# under each engine, and the trace generator alone.
+( go test ./internal/sim -run xxx -bench 'BenchmarkSimRun' -benchtime 1x -benchmem ; \
+  go test ./internal/trace -run xxx -bench 'BenchmarkTraceGen' -benchtime 1x -benchmem ) \
+	| go run ./cmd/benchjson -require 7 -o /dev/null
 
 # Telemetry smoke: spe-sim serves /metrics while the concurrency experiment
 # runs; the snapshot must be well-formed JSON with live SPECU counters.

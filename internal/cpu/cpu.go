@@ -7,7 +7,10 @@
 // paper used.
 package cpu
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // OpType classifies trace instructions.
 type OpType int
@@ -107,6 +110,9 @@ func (c Config) Validate() error {
 	if c.FetchWidth <= 0 || c.IssueWidth <= 0 || c.CommitWidth <= 0 || c.ROBSize <= 1 {
 		return fmt.Errorf("cpu: nonpositive width/size in %+v", c)
 	}
+	if c.FetchWidth > maxWidth || c.IssueWidth > maxWidth || c.CommitWidth > maxWidth {
+		return fmt.Errorf("cpu: fetch/issue/commit width above %d in %+v", maxWidth, c)
+	}
 	if c.IntLatency <= 0 || c.FpLatency <= 0 || c.MulLatency <= 0 || c.MispredictPenalty < 0 {
 		return fmt.Errorf("cpu: invalid latencies in %+v", c)
 	}
@@ -179,6 +185,83 @@ type robEntry struct {
 	commit     uint64 // cycle the instruction commits
 }
 
+// maxWidth is the largest fetch, issue or commit width a ledger count holds.
+const maxWidth = math.MaxUint8
+
+// ledger books bandwidth slots per cycle. counts is a window of per-cycle
+// booking counts starting at cycle base; keys lists every cycle that holds
+// a booking, in or below the window, until a prune drops it. No booking
+// starts below the floor its caller passes, so the window slides up to the
+// floor and forgets the counts beneath it, while keys keeps those cycles
+// so that the prune trigger sees how many cycles hold a booking.
+type ledger struct {
+	base   uint64
+	counts []uint8
+	keys   []uint64
+}
+
+// book finds the earliest cycle >= t with fewer than width bookings,
+// books one slot there and returns it. Neither this nor any later book on
+// the ledger starts below floor.
+func (l *ledger) book(t, floor uint64, width int) uint64 {
+	if floor > l.base && floor-l.base >= uint64(len(l.counts))/2 {
+		l.slide(floor - l.base)
+	}
+	if t < l.base {
+		panic(fmt.Sprintf("cpu: booking cycle %d below the ledger window base %d", t, l.base))
+	}
+	i := t - l.base
+	for {
+		if i >= uint64(len(l.counts)) {
+			l.grow(i)
+		}
+		if int(l.counts[i]) < width {
+			break
+		}
+		i++
+	}
+	if l.counts[i] == 0 {
+		l.keys = append(l.keys, l.base+i)
+	}
+	l.counts[i]++
+	return l.base + i
+}
+
+// slide moves the window base up by d cycles.
+func (l *ledger) slide(d uint64) {
+	if d >= uint64(len(l.counts)) {
+		clear(l.counts)
+	} else {
+		n := copy(l.counts, l.counts[d:])
+		clear(l.counts[n:])
+	}
+	l.base += d
+}
+
+// grow extends the window to hold index i.
+func (l *ledger) grow(i uint64) {
+	n := 2 * uint64(len(l.counts))
+	if n <= i {
+		n = i + 1
+	}
+	counts := make([]uint8, n)
+	copy(counts, l.counts)
+	l.counts = counts
+}
+
+// prune drops every booking at a cycle below before.
+func (l *ledger) prune(before uint64) {
+	kept := l.keys[:0]
+	for _, k := range l.keys {
+		if k >= before {
+			kept = append(kept, k)
+		} else if k >= l.base {
+			l.counts[k-l.base] = 0
+		}
+	}
+	l.keys = kept
+}
+
 // Core runs the timing model.
 type Core struct {
 	cfg  Config
@@ -190,9 +273,9 @@ type Core struct {
 
 	fetchReady   uint64 // cycle the next fetch group can start
 	lastFetchBlk uint64
-	fetched      map[uint64]int // fetch-bandwidth accounting per cycle
-	issued       map[uint64]int // issue-bandwidth accounting per cycle
-	committed    map[uint64]int // commit-bandwidth accounting per cycle
+	fetched      ledger // fetch-bandwidth accounting per cycle
+	issued       ledger // issue-bandwidth accounting per cycle
+	committed    ledger // commit-bandwidth accounting per cycle
 	lastCommit   uint64
 }
 
@@ -202,50 +285,30 @@ func New(cfg Config, m MemSystem) (*Core, error) {
 		return nil, err
 	}
 	return &Core{
-		cfg:       cfg,
-		mem:       m,
-		bp:        newGshare(cfg.GshareBits),
-		rob:       make([]robEntry, cfg.ROBSize),
-		fetched:   make(map[uint64]int),
-		issued:    make(map[uint64]int),
-		committed: make(map[uint64]int),
+		cfg: cfg,
+		mem: m,
+		bp:  newGshare(cfg.GshareBits),
+		rob: make([]robEntry, cfg.ROBSize),
 		// Start fetch at cycle 1 so cycle 0 comparisons stay trivial.
 		fetchReady:   1,
 		lastFetchBlk: ^uint64(0),
 	}, nil
 }
 
-// slotWithBandwidth finds the earliest cycle >= t with spare slots in the
-// per-cycle bandwidth map, consumes one and returns it. The maps are
-// pruned opportunistically.
-func slotWithBandwidth(m map[uint64]int, t uint64, width int) uint64 {
-	for {
-		if m[t] < width {
-			m[t]++
-			return t
-		}
-		t++
-	}
-}
-
-// pruneBandwidthMaps drops accounting entries older than the commit
-// frontier to bound memory use.
-func (c *Core) pruneBandwidthMaps(commit uint64) {
+// pruneLedgers drops bookings older than the commit horizon once any
+// ledger holds 4*ROBSize booked cycles, bounding the key lists.
+func (c *Core) pruneLedgers(commit uint64) {
 	horizon := uint64(c.cfg.ROBSize * 4)
 	if commit <= horizon {
 		return
 	}
 	before := commit - horizon
-	if len(c.issued) < 4*c.cfg.ROBSize && len(c.committed) < 4*c.cfg.ROBSize && len(c.fetched) < 4*c.cfg.ROBSize {
+	if len(c.issued.keys) < 4*c.cfg.ROBSize && len(c.committed.keys) < 4*c.cfg.ROBSize && len(c.fetched.keys) < 4*c.cfg.ROBSize {
 		return
 	}
-	for _, m := range []map[uint64]int{c.fetched, c.issued, c.committed} {
-		for k := range m {
-			if k < before {
-				delete(m, k)
-			}
-		}
-	}
+	c.fetched.prune(before)
+	c.issued.prune(before)
+	c.committed.prune(before)
 }
 
 // Run simulates up to maxInsts instructions (or the whole trace if
@@ -292,7 +355,7 @@ func (c *Core) step(n int64, inst Inst) {
 		allocReady += lat - 1 // pipelined: hit latency mostly hidden
 		c.lastFetchBlk = blk
 	}
-	allocReady = slotWithBandwidth(c.fetched, allocReady, c.cfg.FetchWidth)
+	allocReady = c.fetched.book(allocReady, c.fetchReady, c.cfg.FetchWidth)
 
 	// --- Rename/dispatch at allocReady; ready when deps complete.
 	ready := allocReady
@@ -307,7 +370,7 @@ func (c *Core) step(n int64, inst Inst) {
 	}
 
 	// --- Issue: bounded by issue width per cycle.
-	issue := slotWithBandwidth(c.issued, ready, c.cfg.IssueWidth)
+	issue := c.issued.book(ready, c.fetchReady, c.cfg.IssueWidth)
 
 	// --- Execute.
 	var completion uint64
@@ -347,7 +410,7 @@ func (c *Core) step(n int64, inst Inst) {
 	if c.lastCommit > commitAfter {
 		commitAfter = c.lastCommit
 	}
-	commit := slotWithBandwidth(c.committed, commitAfter, c.cfg.CommitWidth)
+	commit := c.committed.book(commitAfter, c.lastCommit, c.cfg.CommitWidth)
 	c.lastCommit = commit
 	c.rob[slot] = robEntry{completion: completion, commit: commit}
 
@@ -355,5 +418,5 @@ func (c *Core) step(n int64, inst Inst) {
 	if allocReady > c.fetchReady {
 		c.fetchReady = allocReady
 	}
-	c.pruneBandwidthMaps(commit)
+	c.pruneLedgers(commit)
 }

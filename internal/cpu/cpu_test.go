@@ -52,6 +52,9 @@ func newTestCore(t *testing.T, m MemSystem) *Core {
 func TestConfigValidate(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.FetchWidth = 0 },
+		func(c *Config) { c.FetchWidth = maxWidth + 1 },
+		func(c *Config) { c.IssueWidth = maxWidth + 1 },
+		func(c *Config) { c.CommitWidth = maxWidth + 1 },
 		func(c *Config) { c.ROBSize = 1 },
 		func(c *Config) { c.IntLatency = 0 },
 		func(c *Config) { c.MispredictPenalty = -1 },
@@ -64,6 +67,11 @@ func TestConfigValidate(t *testing.T) {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("case %d should fail", i)
 		}
+	}
+	wide := DefaultConfig()
+	wide.FetchWidth, wide.IssueWidth, wide.CommitWidth = maxWidth, maxWidth, maxWidth
+	if err := wide.Validate(); err != nil {
+		t.Errorf("widths of %d rejected: %v", maxWidth, err)
 	}
 }
 

@@ -41,10 +41,12 @@ type line struct {
 	lru   uint64 // last-use stamp
 }
 
-// Cache is one set-associative write-back cache level.
+// Cache is one set-associative write-back cache level. Set s occupies
+// lines[s*ways : (s+1)*ways] of one flat, pointer-free array.
 type Cache struct {
 	cfg     CacheConfig
-	sets    [][]line
+	lines   []line
+	ways    uint64
 	setMask uint64
 	shift   uint
 	stamp   uint64
@@ -58,15 +60,17 @@ func NewCache(cfg CacheConfig) (*Cache, error) {
 		return nil, err
 	}
 	nsets := cfg.SizeBytes / (cfg.Ways * cfg.LineBytes)
-	sets := make([][]line, nsets)
-	for i := range sets {
-		sets[i] = make([]line, cfg.Ways)
-	}
 	shift := uint(0)
 	for 1<<shift < cfg.LineBytes {
 		shift++
 	}
-	return &Cache{cfg: cfg, sets: sets, setMask: uint64(nsets - 1), shift: shift}, nil
+	return &Cache{
+		cfg:     cfg,
+		lines:   make([]line, nsets*cfg.Ways),
+		ways:    uint64(cfg.Ways),
+		setMask: uint64(nsets - 1),
+		shift:   shift,
+	}, nil
 }
 
 // Latency returns the access latency in cycles.
@@ -88,7 +92,7 @@ func (c *Cache) Access(addr uint64, write bool) AccessResult {
 	c.stamp++
 	setIdx := (addr >> c.shift) & c.setMask
 	tag := addr >> c.shift
-	set := c.sets[setIdx]
+	set := c.lines[setIdx*c.ways : (setIdx+1)*c.ways]
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
 			c.Hits++
@@ -125,14 +129,12 @@ func (c *Cache) Access(addr uint64, write bool) AccessResult {
 // the power-down writeback of Section 6.4.
 func (c *Cache) Flush() []uint64 {
 	var dirty []uint64
-	for si := range c.sets {
-		for wi := range c.sets[si] {
-			l := &c.sets[si][wi]
-			if l.valid && l.dirty {
-				dirty = append(dirty, l.tag<<c.shift)
-			}
-			*l = line{}
+	for i := range c.lines {
+		l := &c.lines[i]
+		if l.valid && l.dirty {
+			dirty = append(dirty, l.tag<<c.shift)
 		}
+		*l = line{}
 	}
 	return dirty
 }
@@ -140,11 +142,9 @@ func (c *Cache) Flush() []uint64 {
 // DirtyLines counts dirty lines currently resident.
 func (c *Cache) DirtyLines() int {
 	n := 0
-	for si := range c.sets {
-		for _, l := range c.sets[si] {
-			if l.valid && l.dirty {
-				n++
-			}
+	for _, l := range c.lines {
+		if l.valid && l.dirty {
+			n++
 		}
 	}
 	return n

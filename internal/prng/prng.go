@@ -10,6 +10,7 @@ package prng
 
 import (
 	"fmt"
+	"math/bits"
 )
 
 // SeedBits is the width of each PRNG seed (the paper's 44-bit halves).
@@ -126,38 +127,34 @@ func NewGen(seed uint64) *Gen {
 	return g
 }
 
+// mulmod61 returns a*b mod 2^61-1 for a, b < 2^61. The 122-bit product
+// hi*2^64 + lo folds by 2^61 ≡ 1: it is congruent to (lo & m61) plus
+// (hi<<3 | lo>>61), the bits at and above 2^61. Each part is at most m61
+// and the product is below 2^122-1, so their sum is below 2*m61 and one
+// conditional subtract finishes the reduction.
 func mulmod61(a, b uint64) uint64 {
-	// 128-bit product reduced modulo 2^61-1 via hi/lo folding.
-	hi, lo := mul128(a, b)
-	// value = hi*2^64 + lo; 2^64 mod (2^61-1) = 8.
-	r := (lo & m61) + (lo >> 61) + hi*8%m61
-	for r >= m61 {
+	hi, lo := bits.Mul64(a, b)
+	r := lo&m61 + (hi<<3 | lo>>61)
+	if r >= m61 {
 		r -= m61
 	}
 	return r
 }
 
-func mul128(a, b uint64) (hi, lo uint64) {
-	const mask = 1<<32 - 1
-	aLo, aHi := a&mask, a>>32
-	bLo, bHi := b&mask, b>>32
-	t := aLo * bLo
-	lo = t & mask
-	carry := t >> 32
-	t = aHi*bLo + carry
-	u := t & mask
-	v := t >> 32
-	t = aLo*bHi + u
-	lo |= (t & mask) << 32
-	hi = aHi*bHi + v + t>>32
-	return
-}
-
 // step advances both LCGs with cross-coupling and returns 61 mixed bits.
+// Each new state is a residue plus less than 2^14, so a conditional
+// subtract reduces it exactly.
 func (g *Gen) step() uint64 {
-	g.s1 = (mulmod61(a1, g.s1) + c1 + g.s2%1024) % m61
-	g.s2 = (mulmod61(a2, g.s2) + c2 + g.s1%1024) % m61
-	return g.s1 ^ (g.s2 << 3) ^ (g.s2 >> 7)
+	s1 := mulmod61(a1, g.s1) + c1 + g.s2&1023
+	if s1 >= m61 {
+		s1 -= m61
+	}
+	s2 := mulmod61(a2, g.s2) + c2 + s1&1023
+	if s2 >= m61 {
+		s2 -= m61
+	}
+	g.s1, g.s2 = s1, s2
+	return s1 ^ (s2 << 3) ^ (s2 >> 7)
 }
 
 // Uint64 returns 64 pseudorandom bits.
@@ -171,10 +168,11 @@ func (g *Gen) Intn(n int) int {
 		panic("prng: Intn needs n > 0")
 	}
 	bound := uint64(n)
-	limit := ^uint64(0) - ^uint64(0)%bound
 	for {
 		v := g.Uint64()
-		if v < limit {
+		// The rejection limit ^0 - ^0%bound exceeds ^0 - bound, so only
+		// draws above that need the divide that computes it.
+		if v <= ^uint64(0)-bound || v < ^uint64(0)-^uint64(0)%bound {
 			return int(v % bound)
 		}
 	}

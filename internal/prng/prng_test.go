@@ -3,6 +3,9 @@ package prng
 import (
 	"bytes"
 	"math"
+	"math/big"
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -263,14 +266,175 @@ func TestMulmod61(t *testing.T) {
 	}
 }
 
-func TestMul128(t *testing.T) {
-	hi, lo := mul128(^uint64(0), ^uint64(0))
-	// (2^64-1)^2 = 2^128 - 2^65 + 1.
-	if hi != ^uint64(0)-1 || lo != 1 {
-		t.Errorf("mul128 max = (%d, %d)", hi, lo)
+func TestMulmod61MatchesBig(t *testing.T) {
+	// Random operands below 2^61, plus the edges of that range.
+	p := new(big.Int).SetUint64(m61)
+	rng := rand.New(rand.NewSource(61))
+	check := func(a, b uint64) {
+		want := new(big.Int).Mul(new(big.Int).SetUint64(a), new(big.Int).SetUint64(b))
+		want.Mod(want, p)
+		if got := mulmod61(a, b); got != want.Uint64() {
+			t.Fatalf("mulmod61(%#x, %#x) = %#x, want %#x", a, b, got, want.Uint64())
+		}
 	}
-	hi, lo = mul128(1<<32, 1<<32)
-	if hi != 1 || lo != 0 {
-		t.Errorf("mul128(2^32,2^32) = (%d,%d), want (1,0)", hi, lo)
+	edges := []uint64{0, 1, 2, 7, 8, 1 << 60, m61 - 1, m61, 1<<61 - 2}
+	for _, a := range edges {
+		for _, b := range edges {
+			check(a, b)
+		}
+	}
+	for i := 0; i < 100000; i++ {
+		check(rng.Uint64()>>3, rng.Uint64()>>3)
+	}
+}
+
+// refGen is the generator as first written: a software 128-bit product
+// and a modulo reduction at every step. It is the oracle the division-free
+// Gen must match bit for bit.
+type refGen struct{ s1, s2 uint64 }
+
+func newRefGen(seed uint64) *refGen {
+	mix := func(x uint64) uint64 {
+		x += 0x9E3779B97F4A7C15
+		x = (x ^ x>>30) * 0xBF58476D1CE4E5B9
+		x = (x ^ x>>27) * 0x94D049BB133111EB
+		return x ^ x>>31
+	}
+	r := &refGen{s1: mix(seed) % m61, s2: mix(seed^0xA5A5A5A55A5A5A5A) % m61}
+	if r.s1 == 0 {
+		r.s1 = 0x1234567
+	}
+	if r.s2 == 0 {
+		r.s2 = 0x89ABCDE
+	}
+	for i := 0; i < 16; i++ {
+		r.step()
+	}
+	return r
+}
+
+func refMul128(a, b uint64) (hi, lo uint64) {
+	const mask = 1<<32 - 1
+	aLo, aHi := a&mask, a>>32
+	bLo, bHi := b&mask, b>>32
+	t := aLo * bLo
+	lo = t & mask
+	carry := t >> 32
+	t = aHi*bLo + carry
+	u := t & mask
+	v := t >> 32
+	t = aLo*bHi + u
+	lo |= (t & mask) << 32
+	hi = aHi*bHi + v + t>>32
+	return
+}
+
+func refMulmod61(a, b uint64) uint64 {
+	hi, lo := refMul128(a, b)
+	r := (lo & m61) + (lo >> 61) + hi*8%m61
+	for r >= m61 {
+		r -= m61
+	}
+	return r
+}
+
+func (g *refGen) step() uint64 {
+	g.s1 = (refMulmod61(a1, g.s1) + c1 + g.s2%1024) % m61
+	g.s2 = (refMulmod61(a2, g.s2) + c2 + g.s1%1024) % m61
+	return g.s1 ^ (g.s2 << 3) ^ (g.s2 >> 7)
+}
+
+func (g *refGen) Uint64() uint64 { return g.step()<<32 ^ g.step() }
+
+func (g *refGen) Intn(n int) int {
+	bound := uint64(n)
+	limit := ^uint64(0) - ^uint64(0)%bound
+	for {
+		v := g.Uint64()
+		if v < limit {
+			return int(v % bound)
+		}
+	}
+}
+
+func TestGenMatchesReference(t *testing.T) {
+	// Bounds near 2^63 put most draws past ^0-bound, onto the path that
+	// computes the rejection limit, and reject some of them.
+	bounds := []int{1, 2, 3, 10, 1000, 393216, 1<<62 + 1, math.MaxInt64 - 1, math.MaxInt64}
+	rng := rand.New(rand.NewSource(5000))
+	seeds := 1000
+	if testing.Short() {
+		seeds = 100
+	}
+	for i := 0; i < seeds; i++ {
+		seed := rng.Uint64()
+		if i < 4 {
+			seed = []uint64{0, 1, 0xD1CEBEEF, ^uint64(0)}[i]
+		}
+		g, r := NewGen(seed), newRefGen(seed)
+		for d := 0; d < 5000; d++ {
+			if d%3 == 0 {
+				n := bounds[d/3%len(bounds)]
+				if got, want := g.Intn(n), r.Intn(n); got != want {
+					t.Fatalf("seed %#x draw %d: Intn(%d) = %d, reference %d", seed, d, n, got, want)
+				}
+				continue
+			}
+			if got, want := g.Uint64(), r.Uint64(); got != want {
+				t.Fatalf("seed %#x draw %d: Uint64 = %#x, reference %#x", seed, d, got, want)
+			}
+		}
+	}
+}
+
+// The history goldens pin the stream itself; any change to the generator
+// moves every SPE schedule and ciphertext.
+func TestGenGoldenStream(t *testing.T) {
+	want := map[uint64][8]uint64{
+		0:          {0x6d2e7529c89c367b, 0xa10187d490367eae, 0xf9ce3e3c14c7b215, 0x28d5d3236b76333f, 0xdb53be12946fdc97, 0x3bb05170bd52ffc3, 0xcb703c5d43310adf, 0x2bad8fa609c3891b},
+		1:          {0x25f021e2f4d13f4, 0xaa20a2ac0ba58f76, 0x7f0c188e79ecc20e, 0xd31658fe45b24d1c, 0x3de5e0ec26c1eb5a, 0x3c461571816f74a2, 0xec7591ece900a7c7, 0x59a1ca5a1ce4b44c},
+		0xD1CEBEEF: {0xabd01e8b12503f91, 0x2b9a57352167f01a, 0xbe8b7b21e5c58624, 0x842cdf28ba0fbe45, 0x2898cb2710535f82, 0x2466ec8deef94211, 0xdc31704219176ee4, 0xcc104e9a754aadcb},
+		^uint64(0): {0x17316b2a913c0b75, 0x35a2127e4f3538f3, 0x69f88cd95a326f9e, 0x83de68e83b3d8676, 0x90720e8c39f9cec4, 0xceba0e5e951be93b, 0xeb01d174f25c9a56, 0x2b82e0eebdad5e8c},
+	}
+	for seed, w := range want {
+		g := NewGen(seed)
+		for i, v := range w {
+			if got := g.Uint64(); got != v {
+				t.Errorf("seed %#x draw %d = %#x, want %#x", seed, i, got, v)
+			}
+		}
+	}
+}
+
+func TestIntnGolden(t *testing.T) {
+	want := map[int][8]int{
+		2:         {1, 0, 1, 0, 1, 0, 1, 1},
+		10:        {1, 0, 1, 2, 3, 6, 5, 9},
+		393216:    {377409, 386212, 28151, 148078, 270745, 326910, 326447, 236871},
+		1<<62 + 1: {2407474232923251875, 2579979762096303606, 1302888636831253102, 3811780180571201943, 2179482482725551356, 1005239639873526959, 862912359702864022, 2234654139443845561},
+	}
+	for n, w := range want {
+		g := NewGen(42)
+		for i, v := range w {
+			if got := g.Intn(n); got != v {
+				t.Errorf("Intn(%d) draw %d = %d, want %d", n, i, got, v)
+			}
+		}
+	}
+}
+
+func TestPermGolden(t *testing.T) {
+	want := []int{4, 7, 1, 11, 15, 10, 5, 9, 3, 12, 0, 2, 13, 6, 8, 14}
+	if got := NewGen(7).Perm(16); !reflect.DeepEqual(got, want) {
+		t.Errorf("Perm(16) = %v, want %v", got, want)
+	}
+}
+
+func TestDeriveScheduleGolden(t *testing.T) {
+	s := DeriveSchedule(NewKey(555, 88), 16, 32)
+	wantOrder := []int{5, 8, 6, 7, 9, 11, 3, 4, 13, 0, 12, 14, 15, 2, 1, 10}
+	wantClasses := []int{22, 12, 10, 24, 24, 4, 10, 8, 25, 3, 23, 2, 25, 31, 20, 18}
+	if !reflect.DeepEqual(s.Order, wantOrder) || !reflect.DeepEqual(s.Classes, wantClasses) {
+		t.Errorf("schedule = %v / %v, want %v / %v", s.Order, s.Classes, wantOrder, wantClasses)
 	}
 }
